@@ -30,6 +30,7 @@ from .graph import (
 )
 from .energy import (
     PotentialSpec,
+    energy_terms,
     fisher_gradient,
     fisher_hessian,
     fisher_information,

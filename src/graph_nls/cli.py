@@ -29,7 +29,8 @@ from .dynamics import (
 )
 from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
 from .ground_state import eigen_residual, solve_ground_state
-from .io import load_initial_state, trajectory_summary, write_json, write_trajectory_csv
+from .io import (atomic_write_text, format_float, load_initial_state,
+                 trajectory_summary, write_json, write_trajectory_csv)
 from .stability import (
     gpe_spectrum_closed_form,
     hamiltonian_matrix,
@@ -126,19 +127,17 @@ def _build_potentials(pspec, G: Graph) -> PotentialSpec:
 def _integrator_config(ispec) -> IntegratorConfig:
     allowed = {"method", "dt", "T", "newton_tol", "newton_max_iter", "output_every"}
     _require_keys(ispec, allowed, {"dt", "T"}, "integrator")
-    cfg = IntegratorConfig(
-        method=ispec.get("method", "implicit_midpoint"),
-        dt=float(ispec["dt"]),
-        T=float(ispec["T"]),
-        newton_tol=float(ispec.get("newton_tol", 1e-12)),
-        newton_max_iter=int(ispec.get("newton_max_iter", 50)),
-        output_every=int(ispec.get("output_every", 1)),
-    )
-    if cfg.method not in ("implicit_midpoint", "rk4"):
-        raise ConfigError(f"unknown integrator method {cfg.method!r}")
-    if cfg.dt <= 0 or cfg.T <= 0 or cfg.output_every < 1:
-        raise ConfigError("dt, T must be positive and output_every >= 1")
-    return cfg
+    try:
+        numbers = dict(
+            dt=float(ispec["dt"]),
+            T=float(ispec["T"]),
+            newton_tol=float(ispec.get("newton_tol", 1e-12)),
+            newton_max_iter=int(ispec.get("newton_max_iter", 50)),
+            output_every=int(ispec.get("output_every", 1)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"integrator settings must be numbers: {exc}") from exc
+    return IntegratorConfig(method=ispec.get("method", "implicit_midpoint"), **numbers)
 
 
 def _initial_state(data, G: Graph, h: float) -> SystemState:
@@ -378,8 +377,6 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
         + [f"k_{i+1}" for i in range(len(dims))]
         + ["mu", "residual"]
     )
-    from .io import atomic_write_text, format_float
-
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_float(x) for x in row))

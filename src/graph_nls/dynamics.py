@@ -31,13 +31,13 @@ from .energy import (
     MASS_TOL,
     PotentialSpec,
     check_interior,
+    energy_terms,
     fisher_gradient,
     fisher_hessian,
-    fisher_information,
-    interaction_energy,
-    potential_energy,
+    hamiltonian,
+    wave_edge_field,
 )
-from .graph import Graph, edge_means, grad, inner_product
+from .graph import Graph, edge_means
 
 __all__ = [
     "SystemState",
@@ -114,19 +114,11 @@ class Trajectory:
 def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
     """Time derivatives (drho/dt, dS/dt) of the Hamiltonian flow."""
     rho = check_interior(state.rho, G.n)
-    S = state.S
-    g = edge_means(G, rho)
-    dS_edge = S[G.ej] - S[G.el]
-    flux = G.weights * dS_edge * g
-    drho = np.zeros(G.n)
-    np.add.at(drho, G.ej, flux)
-    np.add.at(drho, G.el, -flux)
+    dS_edge = G.diff(state.S)
+    drho = G.div(G.weights * dS_edge * edge_means(G, rho))
     # dH/drho: half the squared phase differences (dg/drho = 1/2 on both
     # endpoints) plus the Fisher and potential gradients
-    q = np.zeros(G.n)
-    sq = 0.25 * G.weights * dS_edge**2
-    np.add.at(q, G.ej, sq)
-    np.add.at(q, G.el, sq)
+    q = G.sum_ends(0.25 * G.weights * dS_edge**2)
     dS = -(q + spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V + spec.W @ rho)
     return drho, dS
 
@@ -134,23 +126,11 @@ def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
 def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarray:
     """Analytic 2n x 2n Jacobian of the right-hand side."""
     rho = check_interior(state.rho, G.n)
-    S = state.S
     n = G.n
-    dS_edge = S[G.ej] - S[G.el]
-    half_w_dS = 0.5 * G.weights * dS_edge
-    # A = d(drho)/drho
-    A = np.zeros((n, n))
-    np.add.at(A, (G.ej, G.ej), half_w_dS)
-    np.add.at(A, (G.ej, G.el), half_w_dS)
-    np.add.at(A, (G.el, G.el), -half_w_dS)
-    np.add.at(A, (G.el, G.ej), -half_w_dS)
-    # d(drho)/dS = L(rho)
-    wg = G.weights * edge_means(G, rho)
-    L = np.zeros((n, n))
-    np.add.at(L, (G.ej, G.el), -wg)
-    np.add.at(L, (G.el, G.ej), -wg)
-    np.add.at(L, (G.ej, G.ej), wg)
-    np.add.at(L, (G.el, G.el), wg)
+    # A = d(drho)/drho; d(drho)/dS = L(rho)
+    half_w_dS = 0.5 * G.weights * G.diff(state.S)
+    A = G.edge_matrix(G.div(half_w_dS), half_w_dS, -half_w_dS)
+    L = G.laplacian(G.weights * edge_means(G, rho))
     B = -(spec.h**2 / 8.0 * fisher_hessian(G, rho) + spec.W)
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = A
@@ -210,13 +190,8 @@ def step(G: Graph, spec: PotentialSpec, state: SystemState, cfg: IntegratorConfi
 
 
 def _norm_integrand(G, spec, rho, S):
-    v = grad(G, S)
-    return (
-        0.5 * inner_product(G, rho, v, v)
-        - spec.h**2 / 8.0 * fisher_information(G, rho)
-        - potential_energy(spec, rho)
-        - 2.0 * interaction_energy(spec, rho)
-    )
+    kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
+    return kin - fisher - pot - 2.0 * inter
 
 
 def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> Trajectory:
@@ -241,8 +216,6 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     prev_integrand = _norm_integrand(G, spec, state.rho, state.S)
 
     def emit(st):
-        from .energy import hamiltonian
-
         traj.times.append(st.t)
         traj.rhos.append(st.rho.copy())
         traj.Ss.append(st.S.copy())
@@ -295,32 +268,11 @@ def from_wave(psi, h: float) -> SystemState:
     return SystemState(rho, h * np.angle(psi), 0.0)
 
 
-def _edge_log_diffs(G: Graph, psi):
-    """Complex skew edge field: 1/2 dlog rho + i * principal phase difference.
-
-    The phase difference is the angle of Psi_j conj(Psi_l), stored in the
-    canonical orientation, so it stays consistent for winding phases that
-    no single-valued S can represent.
-    """
-    rho = np.abs(psi) ** 2
-    if rho.min() <= 0:
-        raise ZeroModulus("wave function vanishes at a node")
-    logr = np.log(rho)
-    re = 0.5 * (logr[G.ej] - logr[G.el])
-    im = np.angle(psi[G.ej] * np.conj(psi[G.el]))
-    return rho, re + 1j * im
-
-
 def _laplacian_from_edge_dlog(G, psi, rho, dlog):
     """Assemble Lap_G Psi from a skew complex edge field of log differences."""
-    g = edge_means(G, rho)
-    first = np.zeros(G.n, dtype=complex)
-    np.add.at(first, G.ej, G.weights * dlog * g)
-    np.add.at(first, G.el, -G.weights * dlog * g)
-    second = np.zeros(G.n)
-    sq = 0.5 * G.weights * np.abs(dlog) ** 2
-    np.add.at(second, G.ej, sq)
-    np.add.at(second, G.el, sq)
+    flux = G.weights * dlog * edge_means(G, rho)
+    first = G.div(flux.real) + 1j * G.div(flux.imag)
+    second = G.sum_ends(0.5 * G.weights * np.abs(dlog) ** 2)
     return -psi * (first / rho + second)
 
 
@@ -332,7 +284,7 @@ def graph_laplacian_wave(G: Graph, psi, h: float = 1.0) -> np.ndarray:
     so h does not enter the assembly.
     """
     psi = np.asarray(psi, dtype=complex)
-    rho, dlog = _edge_log_diffs(G, psi)
+    rho, dlog = wave_edge_field(G, psi)
     return _laplacian_from_edge_dlog(G, psi, rho, dlog)
 
 

@@ -1,10 +1,12 @@
 """Scalar energies and their derivatives.
 
-Fisher information, the linear and interaction potentials, the total
-Hamiltonian H(rho, S), and the kinetic/potential/interaction split of the
-wave-form energy.  The closed-form gradient and Hessian of the Fisher
-information are the hand-differentiated formulas; the test suite
-cross-checks them against finite differences.
+Fisher information, the linear and interaction potentials, the energy
+terms that every functional combines (the Hamiltonian H(rho, S), the
+ground energy, the action and normalization integrands), and the
+kinetic/potential/interaction split of the wave-form energy.  The
+closed-form gradient and Hessian of the Fisher information are the
+hand-differentiated formulas; the test suite cross-checks them against
+finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ __all__ = [
     "fisher_hessian",
     "potential_energy",
     "interaction_energy",
+    "energy_terms",
     "hamiltonian",
+    "wave_edge_field",
     "wave_energy_components",
     "load_potentials_json",
 ]
@@ -89,18 +93,13 @@ def edge_density(rho, edge) -> float:
     return 0.5 * (rho[j] + rho[l])
 
 
-def _log_diffs(G: Graph, rho):
-    logr = np.log(rho)
-    return logr[G.ej] - logr[G.el]
-
-
 def fisher_information(G: Graph, rho) -> float:
     """I(rho) = sum over edges of w (log rho_j - log rho_l)^2 g_jl.
 
     Accepts any strictly positive vector; I is 1-homogeneous in rho.
     """
     rho = check_interior(rho, G.n)
-    d = _log_diffs(G, rho)
+    d = G.diff(np.log(rho))
     return float(np.sum(G.weights * d * d * edge_means(G, rho)))
 
 
@@ -112,27 +111,17 @@ def fisher_gradient(G: Graph, rho) -> np.ndarray:
     grad(I) . rho = I(rho).
     """
     rho = check_interior(rho, G.n)
-    d = _log_diffs(G, rho)
+    d = G.diff(np.log(rho))
     g = edge_means(G, rho)
-    out = np.zeros(G.n)
-    # orientation j -> l contributes at node j, l -> j (sign-flipped) at l
-    np.add.at(out, G.ej, G.weights * (0.5 * d * d + 2.0 * d * g / rho[G.ej]))
-    np.add.at(out, G.el, G.weights * (0.5 * d * d - 2.0 * d * g / rho[G.el]))
-    return out
+    return G.sum_ends(0.5 * G.weights * d * d) + G.div(2.0 * G.weights * d * g) / rho
 
 
 def fisher_hessian(G: Graph, rho) -> np.ndarray:
     """Hessian of I with entries built from t_lj = (drho)(dlog) + (rho_l+rho_j)."""
     rho = check_interior(rho, G.n)
-    d = _log_diffs(G, rho)
-    t = (rho[G.ej] - rho[G.el]) * d + (rho[G.ej] + rho[G.el])
-    wt = G.weights * t
-    H = np.zeros((G.n, G.n))
-    np.add.at(H, (G.ej, G.el), -wt / (rho[G.ej] * rho[G.el]))
-    np.add.at(H, (G.el, G.ej), -wt / (rho[G.ej] * rho[G.el]))
-    np.add.at(H, (G.ej, G.ej), wt / rho[G.ej] ** 2)
-    np.add.at(H, (G.el, G.el), wt / rho[G.el] ** 2)
-    return H
+    wt = G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
+    off = -wt / (rho[G.ej] * rho[G.el])
+    return G.edge_matrix(G.sum_ends(wt) / rho**2, off, off)
 
 
 def potential_energy(spec: PotentialSpec, rho) -> float:
@@ -149,17 +138,43 @@ def interaction_energy(spec: PotentialSpec, rho) -> float:
     return float(0.5 * rho @ spec.W @ rho)
 
 
+def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
+    """The terms (kinetic, (h^2/8) I, V, W) of the energy at (rho, S).
+
+    The kinetic term is 1/2 (grad S, grad S)_rho; without a phase S it is
+    0.0 and is not evaluated.
+    """
+    rho = check_interior(rho, G.n)
+    kin = 0.0
+    if S is not None:
+        v = grad(G, S)
+        kin = 0.5 * inner_product(G, rho, v, v)
+    return (
+        kin,
+        spec.h**2 / 8.0 * fisher_information(G, rho),
+        potential_energy(spec, rho),
+        interaction_energy(spec, rho),
+    )
+
+
 def hamiltonian(G: Graph, spec: PotentialSpec, rho, S) -> float:
     """Total energy H = kinetic + (h^2/8) I + V + W."""
-    rho = check_interior(rho, G.n)
-    v = grad(G, S)
-    kin = 0.5 * inner_product(G, rho, v, v)
-    return (
-        kin
-        + spec.h**2 / 8.0 * fisher_information(G, rho)
-        + potential_energy(spec, rho)
-        + interaction_energy(spec, rho)
-    )
+    return sum(energy_terms(G, spec, rho, S))
+
+
+def wave_edge_field(G: Graph, psi):
+    """Density and complex skew edge field 1/2 dlog rho + i dphase of a wave.
+
+    The phase difference is the principal angle of Psi_j conj(Psi_l),
+    which is already (S_j - S_l)/h; stored in the canonical orientation, it
+    stays consistent for winding phases that no single-valued S represents.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    rho = np.abs(psi) ** 2
+    if rho.min() <= 0:
+        raise ZeroModulus("wave function vanishes at a node")
+    dlog = 0.5 * G.diff(np.log(rho)) + 1j * np.angle(psi[G.ej] * np.conj(psi[G.el]))
+    return rho, dlog
 
 
 def wave_energy_components(G: Graph, spec: PotentialSpec, psi):
@@ -167,20 +182,10 @@ def wave_energy_components(G: Graph, spec: PotentialSpec, psi):
 
     Returns (E_kin, E_pot, E_int, E_total) with
     E_total = h^2 E_kin + E_pot + E_int, which equals H(rho, S) exactly.
-    Computed in the (rho, S) representation: the real part of the log
-    difference is half the log-density difference, the imaginary part is
-    the per-edge phase difference divided by h (taken as the principal
-    angle of Psi_j conj(Psi_l), so winding phases are handled).
+    E_kin is half the rho-weighted squared modulus of the wave edge field.
     """
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.abs(psi) ** 2
-    if rho.min() <= 0:
-        raise ZeroModulus("wave function vanishes at a node")
-    re = 0.5 * _log_diffs(G, rho)
-    # the principal angle of Psi_j conj(Psi_l) is already (S_j - S_l)/h
-    im = np.angle(psi[G.ej] * np.conj(psi[G.el]))
-    g = edge_means(G, rho)
-    e_kin = float(0.5 * np.sum(G.weights * (re * re + im * im) * g))
+    rho, dlog = wave_edge_field(G, psi)
+    e_kin = float(0.5 * np.sum(G.weights * np.abs(dlog) ** 2 * edge_means(G, rho)))
     e_pot = potential_energy(spec, rho)
     e_int = interaction_energy(spec, rho)
     return e_kin, e_pot, e_int, spec.h**2 * e_kin + e_pot + e_int

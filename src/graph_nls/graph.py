@@ -5,6 +5,14 @@ A graph stores one record per undirected edge in canonical orientation
 edge; the value for the reverse orientation is minus the stored one, so
 every edge field is skew-symmetric by construction.  A *node field* is a
 real array of length ``n``.
+
+Every operator is built from the signed incidence matrix D (m x n) with
+D[e, ej[e]] = +1 and D[e, el[e]] = -1, which is never stored.  The Graph
+methods apply it over the edge arrays: ``diff`` is D x (x_j - x_l per
+edge), ``div`` is D^T f (+f at the lower endpoint, -f at the higher one),
+``sum_ends`` is |D|^T f (f added at both endpoints), and ``laplacian(c)``
+assembles D^T diag(c) D densely through ``edge_matrix``.  With c = w g this
+is the transport metric L(rho), and grad = sqrt(w) D S.
 """
 
 from __future__ import annotations
@@ -67,18 +75,29 @@ class Graph:
     def m(self) -> int:
         return len(self.weights)
 
-    def neighbors(self, j: int) -> np.ndarray:
-        mask_j = self.ej == j
-        mask_l = self.el == j
-        return np.concatenate([self.el[mask_j], self.ej[mask_l]])
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        """D x: the edge field x_j - x_l of a node field."""
+        return x[self.ej] - x[self.el]
 
-    def edge_index(self, j: int, l: int) -> int:
-        """Index of edge (j, l); raises KeyError if absent."""
-        a, b = (j, l) if j < l else (l, j)
-        hits = np.nonzero((self.ej == a) & (self.el == b))[0]
-        if len(hits) == 0:
-            raise KeyError(f"no edge ({j}, {l})")
-        return int(hits[0])
+    def div(self, f: np.ndarray) -> np.ndarray:
+        """D^T f: each edge value added at ej and subtracted at el."""
+        return np.bincount(self.ej, f, self.n) - np.bincount(self.el, f, self.n)
+
+    def sum_ends(self, f: np.ndarray) -> np.ndarray:
+        """|D|^T f: each edge value added at both endpoints."""
+        return np.bincount(self.ej, f, self.n) + np.bincount(self.el, f, self.n)
+
+    def edge_matrix(self, diag, upper, lower) -> np.ndarray:
+        """Dense matrix with ``diag`` on the diagonal, ``upper`` at (ej, el)
+        and ``lower`` at (el, ej); edges are unique, so nothing accumulates."""
+        M = np.diag(diag)
+        M[self.ej, self.el] = upper
+        M[self.el, self.ej] = lower
+        return M
+
+    def laplacian(self, c: np.ndarray) -> np.ndarray:
+        """D^T diag(c) D for per-edge conductances c."""
+        return self.edge_matrix(self.sum_ends(c), -c, -c)
 
 
 def _check_connected(n, ej, el):
@@ -110,7 +129,7 @@ def build_graph(n, weighted_edges, coords=None, **meta) -> Graph:
             raise SelfLoop(f"self loop at node {j}")
         if not (0 <= j < n and 0 <= l < n):
             raise ConfigError(f"edge ({j}, {l}) out of range for n={n}")
-        if weight <= 0:
+        if not 0 < weight < np.inf:
             raise NonPositiveWeight(f"edge ({j}, {l}) has weight {weight}")
         a, b = (j, l) if j < l else (l, j)
         if (a, b) in seen:
@@ -193,7 +212,7 @@ def grad(G: Graph, S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.shape != (G.n,):
         raise ConfigError(f"node field has shape {S.shape}, expected ({G.n},)")
-    return G.sqrt_weights * (S[G.ej] - S[G.el])
+    return G.sqrt_weights * G.diff(S)
 
 
 def divergence(G: Graph, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -207,11 +226,7 @@ def divergence(G: Graph, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NonInteriorDensity("density must be strictly positive")
     if len(v) != G.m:
         raise ConfigError("edge field length mismatch")
-    flux = G.sqrt_weights * v * edge_means(G, rho)
-    out = np.zeros(G.n)
-    np.add.at(out, G.ej, flux)
-    np.add.at(out, G.el, -flux)
-    return out
+    return G.div(G.sqrt_weights * v * edge_means(G, rho))
 
 
 def inner_product(G: Graph, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> float:

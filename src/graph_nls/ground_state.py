@@ -17,10 +17,9 @@ from .errors import MaxIterations
 from .energy import (
     PotentialSpec,
     check_interior,
+    energy_terms,
     fisher_gradient,
-    fisher_information,
-    interaction_energy,
-    potential_energy,
+    fisher_hessian,
 )
 from .dynamics import graph_laplacian_wave
 from .graph import Graph
@@ -52,12 +51,8 @@ class GroundStateResult:
 
 
 def ground_energy(G: Graph, spec: PotentialSpec, rho) -> float:
-    rho = check_interior(rho, G.n)
-    return (
-        spec.h**2 / 8.0 * fisher_information(G, rho)
-        + potential_energy(spec, rho)
-        + interaction_energy(spec, rho)
-    )
+    """(h^2/8) I + V + W: the energy of rho with a constant phase."""
+    return sum(energy_terms(G, spec, rho))
 
 
 def ground_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
@@ -122,8 +117,6 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
     not, so this drives the KKT residual below tolerances the line search
     cannot reach.
     """
-    from .energy import fisher_hessian
-
     n = G.n
     u = np.log(rho)
     it = 0

@@ -61,12 +61,7 @@ class SpectrumReport:
 
 def plain_laplacian(G: Graph) -> np.ndarray:
     """Density-independent graph Laplacian: degree sums minus weights."""
-    L = np.zeros((G.n, G.n))
-    np.add.at(L, (G.ej, G.el), -G.weights)
-    np.add.at(L, (G.el, G.ej), -G.weights)
-    np.add.at(L, (G.ej, G.ej), G.weights)
-    np.add.at(L, (G.el, G.el), G.weights)
-    return L
+    return G.laplacian(G.weights)
 
 
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:

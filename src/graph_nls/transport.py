@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NearSingular, NonZeroMean
-from .energy import (
-    PotentialSpec,
-    check_interior,
-    fisher_information,
-    interaction_energy,
-    potential_energy,
-)
-from .graph import Graph, divergence, edge_means, grad, inner_product
+from .energy import PotentialSpec, check_interior, energy_terms
+from .graph import Graph, divergence, edge_means, grad
 
 __all__ = [
     "WeightedLaplacian",
@@ -61,20 +55,11 @@ class WeightedLaplacian:
     def lambda_sec(self) -> float:
         return float(self.eigenvalues[1])
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ x
-
 
 def weighted_laplacian(G: Graph, rho) -> WeightedLaplacian:
     """Assemble L(rho) with (L S)_j = sum_{l~j} w_jl (S_j - S_l) g_jl."""
     rho = check_interior(rho, G.n)
-    wg = G.weights * edge_means(G, rho)
-    L = np.zeros((G.n, G.n))
-    np.add.at(L, (G.ej, G.el), -wg)
-    np.add.at(L, (G.el, G.ej), -wg)
-    np.add.at(L, (G.ej, G.ej), wg)
-    np.add.at(L, (G.el, G.el), wg)
-    return WeightedLaplacian(L)
+    return WeightedLaplacian(G.laplacian(G.weights * edge_means(G, rho)))
 
 
 def pseudo_inverse_apply(Lap: WeightedLaplacian, b) -> np.ndarray:
@@ -144,12 +129,6 @@ def nelson_action(G: Graph, spec: PotentialSpec, path: PathSample) -> float:
     """
     vals = np.empty(len(path.times))
     for k, (rho, S) in enumerate(zip(path.rhos, path.Ss)):
-        rho = check_interior(rho, G.n)
-        v = grad(G, S)
-        vals[k] = (
-            0.5 * inner_product(G, rho, v, v)
-            - spec.h**2 / 8.0 * fisher_information(G, rho)
-            - potential_energy(spec, rho)
-            - interaction_energy(spec, rho)
-        )
+        kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
+        vals[k] = kin - fisher - pot - inter
     return float(np.trapezoid(vals, path.times))

@@ -98,6 +98,15 @@ def test_simulate_solver_failure_keeps_partial(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_simulate_non_numeric_integrator_value(tmp_path, capsys):
+    for key, value in (("dt", "abc"), ("T", [1.0]), ("output_every", "x")):
+        cfg = simulate_config()
+        cfg["integrator"] = {**cfg["integrator"], key: value}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_wave_initial_matches_density_phase(tmp_path):
     base = simulate_config()
     rho = np.array([0.6, 0.4])

@@ -33,6 +33,9 @@ def test_build_rejects_nonpositive_weight():
         build_graph(2, [(0, 1, 0.0)])
     with pytest.raises(NonPositiveWeight):
         build_graph(2, [(0, 1, -2.0)])
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(NonPositiveWeight):
+            build_graph(2, [(0, 1, weight)])
 
 
 def test_build_rejects_duplicate_edge():
@@ -162,6 +165,30 @@ def test_dirichlet_form_matches_laplacian(rng):
         lhs = inner_product(G, rho, v, v)
         rhs = float(S @ weighted_laplacian(G, rho).matrix @ S)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+def dense_incidence(G):
+    D = np.zeros((G.m, G.n))
+    for e, (j, l) in enumerate(zip(G.ej, G.el)):
+        D[e, j], D[e, l] = 1.0, -1.0
+    return D
+
+
+def test_incidence_methods_match_dense_incidence(rng):
+    for _ in range(20):
+        G = random_connected_graph(rng)
+        D = dense_incidence(G)
+        x = rng.normal(0.0, 1.0, G.n)
+        f = rng.normal(0.0, 1.0, G.m)
+        c = rng.uniform(0.1, 2.0, G.m)
+        assert np.allclose(G.diff(x), D @ x, rtol=0, atol=1e-14)
+        assert np.allclose(G.div(f), D.T @ f, rtol=0, atol=1e-14)
+        assert np.allclose(G.sum_ends(f), np.abs(D).T @ f, rtol=0, atol=1e-14)
+        assert np.allclose(G.laplacian(c), D.T @ np.diag(c) @ D, rtol=0, atol=1e-14)
+        # skew pattern of the rhs Jacobian's A block: with g = |D| rho / 2,
+        # d(D^T diag(w dS) g)/drho = D^T diag(f) |D| for f = w dS / 2
+        A = G.edge_matrix(G.div(f), f, -f)
+        assert np.allclose(A, D.T @ np.diag(f) @ np.abs(D), rtol=0, atol=1e-14)
 
 
 def test_graph_json_round_trip(tmp_path, rng):

@@ -452,7 +452,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GraphNLSError as exc:
+    except (GraphNLSError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

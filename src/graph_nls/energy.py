@@ -57,10 +57,12 @@ class PotentialSpec:
         object.__setattr__(self, "W", W)
         if W.shape != (len(V), len(V)):
             raise ConfigError("W must be n x n with n = len(V)")
+        if not (np.isfinite(V).all() and np.isfinite(W).all()):
+            raise ConfigError("potentials V and W must be finite")
         if not np.allclose(W, W.T, atol=1e-12):
             raise ConfigError("interaction matrix must be symmetric")
-        if not self.h > 0:
-            raise ConfigError("h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ConfigError("h must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -80,6 +82,8 @@ def check_interior(rho, n=None):
     rho = np.asarray(rho, dtype=float)
     if n is not None and rho.shape != (n,):
         raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
+    if not np.isfinite(rho).all():
+        raise NonInteriorDensity("density has a non-finite entry")
     if rho.min() < INTERIOR_FLOOR:
         raise NonInteriorDensity(
             f"density entry {rho.min():.3g} is at the simplex boundary"
@@ -235,7 +239,7 @@ def potentials_from_dict(data, n=None, coords=None) -> PotentialSpec:
         if kind == "zero":
             W = np.zeros((n, n))
         elif kind == "diagonal":
-            W = float(W_spec["alpha"]) * np.eye(n)
+            W = np.diag(np.full(n, float(W_spec["alpha"])))
         elif kind == "dense":
             W = np.asarray(W_spec["matrix"], dtype=float)
         else:

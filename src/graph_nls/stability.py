@@ -1,9 +1,13 @@
 """Linear stability around stationary states.
 
 The linearization of the flow at an equilibrium (rho_g, constant S) has
-the block form [[0, L(rho_g)], [-W - (h^2/8) Hess I(rho_g), 0]].  For the
-discrete Gross-Pitaevskii case (V = 0, W = alpha I) the spectrum is known
-in closed form from the plain graph Laplacian.
+the block form H = [[0, L], [B, 0]] with L = L(rho_g) and the symmetric
+B = -W - (h^2/8) Hess I(rho_g).  Its eigenvalues satisfy lambda^2 in
+spec(L B), so writing L = R R^T gives lambda = +-i sqrt(mu) with mu the
+eigenvalues of the symmetric -(R^T B R) (the Hamiltonian reduction of
+Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
+2013).  For the discrete Gross-Pitaevskii case (V = 0, W = alpha I) the
+spectrum is known in closed form from the plain graph Laplacian.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .errors import GraphNLSError
 from .energy import PotentialSpec, check_interior, fisher_hessian
 from .graph import Graph
-from .transport import weighted_laplacian
+from .transport import WeightedLaplacian, weighted_laplacian
 
 __all__ = [
     "HamiltonianMatrix",
@@ -36,12 +40,16 @@ BIFURCATION_TOL = 1e-9
 class HamiltonianMatrix:
     """2n x 2n linearization J . Hess H at an equilibrium."""
 
-    top_right: np.ndarray  # L(rho_g)
+    laplacian: WeightedLaplacian  # L(rho_g) with its eigendecomposition
     bottom_left: np.ndarray  # -W - (h^2/8) Hess I(rho_g)
 
     @property
+    def top_right(self) -> np.ndarray:
+        return self.laplacian.matrix
+
+    @property
     def n(self) -> int:
-        return self.top_right.shape[0]
+        return self.laplacian.n
 
     def full(self) -> np.ndarray:
         n = self.n
@@ -66,9 +74,8 @@ def plain_laplacian(G: Graph) -> np.ndarray:
 
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:
     rho_g = check_interior(rho_g, G.n)
-    top_right = weighted_laplacian(G, rho_g).matrix
     bottom_left = -(spec.W + spec.h**2 / 8.0 * fisher_hessian(G, rho_g))
-    return HamiltonianMatrix(top_right=top_right, bottom_left=bottom_left)
+    return HamiltonianMatrix(weighted_laplacian(G, rho_g), bottom_left)
 
 
 def _sort_complex(vals):
@@ -85,32 +92,29 @@ def _classify(vals, stable_tol=STABLE_RE_TOL, unstable_tol=UNSTABLE_RE_TOL):
     return "marginal"
 
 
+def _pairs(mu):
+    """The eigenvalue pairs +-i sqrt(mu), real for negative mu."""
+    root = np.sqrt(np.asarray(mu, dtype=complex))
+    return _sort_complex(np.concatenate([1j * root, -1j * root]))
+
+
 def spectrum(H: HamiltonianMatrix, stable_tol=STABLE_RE_TOL,
              unstable_tol=UNSTABLE_RE_TOL) -> SpectrumReport:
-    """Dense nonsymmetric eigendecomposition plus stability classification.
+    """Spectrum of H by the symmetric reduction, plus its classification.
 
-    The mass/gauge zero pair of H is a defective Jordan block, which a
-    dense solver splits by about sqrt(eps * |H|).  The subspace of
-    mean-zero density perturbations is invariant and carries that zero
-    semisimply, so the solve runs there and the quotient contributes the
-    remaining exact zero.
+    R = U_+ diag(sqrt(l_+)) takes the cached eigenpairs of L(rho_g) without
+    the kernel (the constants; the graph is connected), so L = R R^T.  One
+    eigvalsh of -(R^T B R), size n - 1, gives the exact pairs +-i sqrt(mu);
+    the kernel adds the mass/gauge zero pair.
     """
-    n = H.n
+    lap = H.laplacian
+    # on a nearly disconnected graph eigh can return l_1 roundoff-negative
+    R = lap.eigenvectors[:, 1:] * np.sqrt(np.maximum(lap.eigenvalues[1:], 0.0))
     try:
-        if n == 1:
-            vals = np.array([0.0 + 0j, 0.0 + 0j])
-        else:
-            u = np.ones(n) / np.sqrt(n)
-            basis, _, _ = np.linalg.svd(np.eye(n) - np.outer(u, u))
-            Q = np.zeros((2 * n, 2 * n - 1))
-            Q[:n, : n - 1] = basis[:, : n - 1]
-            Q[n:, n - 1 :] = np.eye(n)
-            vals = np.concatenate(
-                [np.linalg.eigvals(Q.T @ H.full() @ Q), [0.0 + 0j]]
-            )
+        mu = np.linalg.eigvalsh(-(R.T @ H.bottom_left @ R))
     except np.linalg.LinAlgError as exc:
         raise GraphNLSError(f"eigensolver failure: {exc}") from exc
-    vals = _sort_complex(vals)
+    vals = _pairs(np.concatenate([[0.0], mu]))
     return SpectrumReport(
         eigenvalues=vals,
         classification=_classify(vals, stable_tol, unstable_tol),
@@ -151,17 +155,15 @@ def gpe_spectrum_closed_form(
     # roundoff-sized bottom eigenvalue to zero before the sqrt amplifies it
     lam = np.where(lam <= 1e-12 * max(1.0, lam[-1]), 0.0, lam)
     n = G.n
-    arg = 0.25 * lam**2 * h**2 + alpha * lam / n
-    root = np.sqrt(arg.astype(complex))
-    vals = np.concatenate([1j * root, -1j * root])
+    vals = _pairs(0.25 * lam**2 * h**2 + alpha * lam / n)
     bifurcation = [
         k + 1
         for k in range(n)
         if lam[k] > 1e-12 and abs(alpha + 0.25 * n * lam[k] * h**2) <= bifurcation_tol
     ]
     return SpectrumReport(
-        eigenvalues=_sort_complex(vals),
-        classification=_classify(_sort_complex(vals)),
+        eigenvalues=vals,
+        classification=_classify(vals),
         bifurcation_modes=bifurcation,
         laplacian_eigenvalues=lam,
     )

@@ -36,7 +36,12 @@ MEAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightedLaplacian:
-    """L(rho) with its cached symmetric eigendecomposition."""
+    """L(rho) with its cached symmetric eigendecomposition.
+
+    The pseudo-inverse solves and the stability reduction both reuse the
+    eigenpairs, sorted ascending; on a connected graph the first is the
+    kernel (the constants).
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
@@ -131,4 +136,5 @@ def nelson_action(G: Graph, spec: PotentialSpec, path: PathSample) -> float:
     for k, (rho, S) in enumerate(zip(path.rhos, path.Ss)):
         kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
         vals[k] = kin - fisher - pot - inter
-    return float(np.trapezoid(vals, path.times))
+    # written out: np.trapezoid needs numpy 2, np.trapz is deprecated there
+    return float(np.sum(np.diff(path.times) * (vals[1:] + vals[:-1]) / 2.0))

@@ -201,6 +201,57 @@ def test_stability_non_gpe_has_no_closed_form(tmp_path):
     assert "closed_form" not in rep
 
 
+def stability_config(**overrides):
+    cfg = {
+        "schema": 1,
+        "command": "stability",
+        "graph": {"builder": "explicit", "n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]},
+        "potentials": {"V": [0.0, 0.0, 0.0], "W": {"kind": "zero"}, "h": 1.0},
+        "rho_g": "solve",
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_stability_rejects_non_finite_density(tmp_path, capsys):
+    for bad in (float("nan"), float("inf")):
+        path = write_config(tmp_path, "c.json", stability_config(rho_g=[0.5, bad, 0.5]))
+        assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_potentials_reject_non_finite_values(tmp_path, capsys):
+    nan, inf = float("nan"), float("inf")
+    for potentials in (
+        {"V": [0.0, nan, 0.0], "W": {"kind": "zero"}, "h": 1.0},
+        {"V": [0.0, -inf, 0.0], "W": {"kind": "zero"}, "h": 1.0},
+        {"V": [0.0, 0.0, 0.0], "W": {"kind": "diagonal", "alpha": inf}, "h": 1.0},
+        {"V": [0.0, 0.0, 0.0], "W": [[0.0, nan, 0.0], [nan, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         "h": 1.0},
+        {"V": [0.0, 0.0, 0.0], "W": {"kind": "zero"}, "h": inf},
+    ):
+        path = write_config(tmp_path, "c.json", stability_config(potentials=potentials))
+        assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        pfile = tmp_path / "potentials.json"
+        pfile.write_text(json.dumps(potentials))
+        cfg = stability_config(potentials={"file": str(pfile)})
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
+def test_linalg_error_exits_as_solver_failure(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "spectrum", singular)
+    path = write_config(tmp_path, "c.json", stability_config(rho_g="uniform"))
+    assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "solver error: Singular matrix\n"
+
+
 def test_dispersion_cycle8(tmp_path):
     cfg = {
         "schema": 1,

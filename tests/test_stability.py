@@ -11,7 +11,7 @@ from graph_nls import (
     weighted_laplacian,
 )
 from graph_nls.energy import fisher_hessian
-from graph_nls.stability import plain_laplacian, spectrum_mismatch
+from graph_nls.stability import _classify, plain_laplacian, spectrum_mismatch
 from conftest import (
     cycle_graph,
     complete_graph,
@@ -20,6 +20,26 @@ from conftest import (
     random_connected_graph,
     random_interior,
 )
+
+
+def dense_spectrum(H):
+    """Reference spectrum: dense nonsymmetric eigvals of the full H.
+
+    The mass/gauge zero pair of H is a defective Jordan block, which a
+    dense solver splits by about sqrt(eps * |H|).  The subspace of
+    mean-zero density perturbations is invariant and carries that zero
+    semisimply, so the solve runs there and the quotient contributes the
+    remaining exact zero.
+    """
+    n = H.n
+    if n == 1:
+        return np.zeros(2, dtype=complex)
+    u = np.ones(n) / np.sqrt(n)
+    basis, _, _ = np.linalg.svd(np.eye(n) - np.outer(u, u))
+    Q = np.zeros((2 * n, 2 * n - 1))
+    Q[:n, : n - 1] = basis[:, : n - 1]
+    Q[n:, n - 1 :] = np.eye(n)
+    return np.concatenate([np.linalg.eigvals(Q.T @ H.full() @ Q), [0.0 + 0j]])
 
 
 def test_block_structure_gpe():
@@ -164,3 +184,42 @@ def test_bifurcation_threshold_tolerance():
     assert k in near.bifurcation_modes
     off = gpe_spectrum_closed_form(G, alpha_star + 5e-9, h)
     assert k not in off.bifurcation_modes
+
+
+def test_reduction_matches_dense_oracle(rng):
+    graphs = [build_graph(1, []), two_node(0.7)]
+    graphs += [random_connected_graph(rng) for _ in range(30)]
+    seen = set()
+    for G in graphs:
+        n = G.n
+        A = rng.normal(0.0, 1.0, (n, n))
+        for sign in (1.0, -1.0):  # PSD W is stable, its negative mostly not
+            spec = PotentialSpec(rng.normal(0.0, 1.0, n), sign * A @ A.T,
+                                 float(rng.uniform(0.3, 1.5)))
+            H = hamiltonian_matrix(G, spec, random_interior(rng, n))
+            rep = spectrum(H)
+            ref = dense_spectrum(H)
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert len(rep.eigenvalues) == 2 * n
+            assert spectrum_mismatch(rep.eigenvalues, ref) <= 1e-10 * scale
+            assert rep.classification == _classify(ref)
+            # the pairs +-i sqrt(mu) are exact
+            assert spectrum_mismatch(rep.eigenvalues, -rep.eigenvalues) == 0.0
+            if rep.classification == "spectrally_stable":
+                assert np.all(rep.eigenvalues.real == 0.0)
+            seen.add((n, rep.classification))
+    assert {(1, "spectrally_stable"), (2, "spectrally_stable")} <= seen
+    assert {c for _, c in seen} == {"spectrally_stable", "unstable"}
+
+
+def test_spectrum_finite_on_nearly_disconnected_graph(rng):
+    # a 1e-22 bridge puts the Fiedler value of L(rho) at roundoff level,
+    # where eigh can return it slightly negative
+    edges = [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], [3, 4, 1.0], [4, 5, 1.0],
+             [3, 5, 1.0], [2, 3, 1e-22]]
+    G = build_graph(6, edges)
+    spec = PotentialSpec.gpe(6, 1.0, 1.0)
+    for _ in range(50):
+        rep = spectrum(hamiltonian_matrix(G, spec, random_interior(rng, 6)))
+        assert np.isfinite(rep.eigenvalues).all()
+        assert rep.classification == "spectrally_stable"

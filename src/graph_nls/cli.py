@@ -11,7 +11,7 @@ output is kept), 3 a verify property suite failed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .energy import PotentialSpec, potentials_from_dict, load_potentials_json
+from .energy import PotentialSpec, potentials_from_dict
 from .errors import ConfigError, GraphNLSError, MaxIterations
 from .dynamics import (
     IntegratorConfig,
@@ -44,7 +44,14 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 
+def _require_object(data, where):
+    if not isinstance(data, dict):
+        raise ConfigError(f'"{where}" must be an object')
+    return data
+
+
 def _require_keys(data, allowed, required, where):
+    _require_object(data, where)
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -72,10 +79,16 @@ def load_config(path, command) -> dict:
     return data
 
 
+def _read_json_file(path, what):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def _build_graph_from_config(gspec) -> Graph:
-    if not isinstance(gspec, dict):
-        raise ConfigError('"graph" must be an object')
-    if "file" in gspec:
+    if "file" in _require_object(gspec, "graph"):
         _require_keys(gspec, {"file"}, {"file"}, "graph")
         return load_graph_json(gspec["file"])
     builder = gspec.get("builder")
@@ -114,14 +127,19 @@ def _build_graph_from_config(gspec) -> Graph:
     raise ConfigError(f"unknown graph builder {builder!r}")
 
 
-def _build_potentials(pspec, G: Graph) -> PotentialSpec:
-    if not isinstance(pspec, dict):
-        raise ConfigError('"potentials" must be an object')
-    if "file" in pspec:
+def _potentials_data(pspec) -> dict:
+    """The potentials object, given inline or as {"file": path}."""
+    if "file" in _require_object(pspec, "potentials"):
         _require_keys(pspec, {"file"}, {"file"}, "potentials")
-        return load_potentials_json(pspec["file"], n=G.n)
-    _require_keys(pspec, {"V", "W", "h"}, {"V", "W", "h"}, "potentials")
-    return potentials_from_dict(pspec, n=G.n, coords=G.coords)
+        pspec = _read_json_file(pspec["file"], "potentials")
+    _require_keys(pspec, {"V", "W", "h"}, {"V", "W"}, "potentials")
+    return pspec
+
+
+def _build_potentials(pspec, G: Graph) -> PotentialSpec:
+    pdata = _potentials_data(pspec)
+    _require_keys(pdata, {"V", "W", "h"}, {"V", "W", "h"}, "potentials")
+    return potentials_from_dict(pdata, n=G.n, coords=G.coords)
 
 
 def _integrator_config(ispec) -> IntegratorConfig:
@@ -141,20 +159,16 @@ def _integrator_config(ispec) -> IntegratorConfig:
 
 
 def _initial_state(data, G: Graph, h: float) -> SystemState:
-    if not isinstance(data, dict):
-        raise ConfigError('"initial" must be an object')
-    if "file" in data:
+    if "file" in _require_object(data, "initial"):
         _require_keys(data, {"file"}, {"file"}, "initial")
-        try:
-            with open(data["file"]) as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read initial state: {exc}") from exc
+        data = _require_object(_read_json_file(data["file"], "initial state"), "initial")
     state = load_initial_state(data, h)
-    if state.rho.shape != (G.n,):
+    if state.rho.shape != (G.n,) or state.S.shape != (G.n,):
         raise ConfigError(
-            f"initial state has {state.rho.shape[0]} nodes, graph has {G.n}"
+            f"initial state has shape {state.rho.shape}/{state.S.shape}, graph has {G.n} nodes"
         )
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.S).all()):
+        raise ConfigError("initial state must be finite")
     return state
 
 
@@ -183,28 +197,14 @@ def cmd_simulate(cfg_path, out_dir, seed) -> int:
     return EXIT_OK
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRAPH_NLS_THREADS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"GRAPH_NLS_THREADS={raw!r} is not an integer")
-        if value < 1:
-            raise ConfigError("GRAPH_NLS_THREADS must be >= 1")
-        return value
-    return min(4, os.cpu_count() or 1)
-
-
-def _solve_one_ground_state(G, pdict, h, tol, max_iter, init):
-    spec = potentials_from_dict({**pdict, "h": h}, n=G.n, coords=G.coords)
+def _solve_one_ground_state(G, spec, tol, max_iter, init):
     try:
         res = solve_ground_state(G, spec, tol=tol, max_iter=max_iter, init=init)
         failed = None
     except MaxIterations as exc:
         res, failed = exc.result, str(exc)
     entry = {
-        "h": h,
+        "h": spec.h,
         "rho_g": res.rho_g,
         "nu": res.nu,
         "energy": res.energy,
@@ -228,48 +228,32 @@ def cmd_ground_state(cfg_path, out_dir, seed) -> int:
         "config",
     )
     G = _build_graph_from_config(data["graph"])
-    pspec = data["potentials"]
-    if not isinstance(pspec, dict):
-        raise ConfigError('"potentials" must be an object')
-    if "file" in pspec:
-        _require_keys(pspec, {"file"}, {"file"}, "potentials")
-        try:
-            with open(pspec["file"]) as f:
-                pspec = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read potentials: {exc}") from exc
-    _require_keys(pspec, {"V", "W", "h"}, {"V", "W"}, "potentials")
-    h_values = data.get("h_values")
-    if h_values is None:
-        if "h" not in pspec:
-            raise ConfigError('give "h" in potentials or "h_values" in the config')
-        h_values = [pspec["h"]]
-    h_values = [float(h) for h in h_values]
-    if any(h <= 0 for h in h_values):
-        raise ConfigError("h values must be positive")
-    tol = float(data.get("tol", 1e-10))
-    max_iter = int(data.get("max_iter", 10**6))
-    init = np.asarray(data["init"], float) if "init" in data else None
-    pdict = {"V": pspec["V"], "W": pspec["W"]}
+    pdata = _potentials_data(data["potentials"])
+    if "h_values" in data:
+        h_values = data["h_values"]
+        if not isinstance(h_values, list) or not h_values:
+            raise ConfigError('"h_values" must be a non-empty list')
+    elif "h" in pdata:
+        h_values = [pdata["h"]]
+    else:
+        raise ConfigError('give "h" in potentials or "h_values" in the config')
+    try:
+        h_values = [float(h) for h in h_values]
+        tol = float(data.get("tol", 1e-10))
+        max_iter = int(data.get("max_iter", 10**6))
+        init = np.asarray(data["init"], float) if "init" in data else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"ground-state settings must be numbers: {exc}") from exc
+    base = potentials_from_dict(pdata, n=G.n, coords=G.coords)
+    # every h is checked before the first solve writes an artifact
+    specs = [dataclasses.replace(base, h=h) for h in h_values]
 
     results = []
-    failed = False
-    workers = min(_worker_count(), len(h_values))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solve_one_ground_state, G, pdict, h, tol, max_iter, init)
-                for h in h_values
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _solve_one_ground_state(G, pdict, h, tol, max_iter, init) for h in h_values
-        ]
-    for entry in results:
+    for spec in specs:
+        entry = _solve_one_ground_state(G, spec, tol, max_iter, init)
+        results.append(entry)
         write_json(os.path.join(out_dir, f"ground_state_h{entry['h']:g}.json"), entry)
         if "error" in entry:
-            failed = True
             print(f"ground-state: h={entry['h']:g}: {entry['error']}", file=sys.stderr)
         else:
             print(
@@ -278,7 +262,7 @@ def cmd_ground_state(cfg_path, out_dir, seed) -> int:
                 f"iters={entry['iterations']}"
             )
     write_json(os.path.join(out_dir, "ground_state.json"), {"results": results})
-    return EXIT_SOLVER if failed else EXIT_OK
+    return EXIT_SOLVER if any("error" in entry for entry in results) else EXIT_OK
 
 
 def cmd_stability(cfg_path, out_dir, seed) -> int:
@@ -292,19 +276,20 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
     G = _build_graph_from_config(data["graph"])
     spec = _build_potentials(data["potentials"], G)
     rho_spec = data.get("rho_g", "solve")
+    try:
+        tol = float(data.get("tol", 1e-10))
+        rho_g = np.asarray(rho_spec, float) if isinstance(rho_spec, list) else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"stability settings must be numbers: {exc}") from exc
     if rho_spec == "uniform":
         rho_g = np.full(G.n, 1.0 / G.n)
     elif rho_spec == "solve":
         try:
-            rho_g = solve_ground_state(
-                G, spec, tol=float(data.get("tol", 1e-10))
-            ).rho_g
+            rho_g = solve_ground_state(G, spec, tol=tol).rho_g
         except MaxIterations as exc:
             print(f"stability: ground-state solve failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-    elif isinstance(rho_spec, list):
-        rho_g = np.asarray(rho_spec, float)
-    else:
+    elif rho_g is None:
         raise ConfigError('"rho_g" must be "uniform", "solve" or a density list')
 
     try:

@@ -77,9 +77,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("implicit_midpoint", "rk4"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigError("dt and T must be positive")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
+            raise ConfigError("dt and T must be positive and finite")
+        if not 0 < self.newton_tol < np.inf or self.newton_max_iter < 1:
             raise ConfigError("Newton settings must be positive")
         if self.output_every < 1:
             raise ConfigError("output_every must be >= 1")

@@ -11,7 +11,6 @@ finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ __all__ = [
     "hamiltonian",
     "wave_edge_field",
     "wave_energy_components",
-    "load_potentials_json",
+    "potentials_from_dict",
 ]
 
 # Densities below this are treated as boundary points: log() would still be
@@ -195,55 +194,53 @@ def wave_energy_components(G: Graph, spec: PotentialSpec, psi):
     return e_kin, e_pot, e_int, spec.h**2 * e_kin + e_pot + e_int
 
 
-def load_potentials_json(path, n=None) -> PotentialSpec:
-    """Read the potentials file format.
+def _linear_potential(V_spec, n, coords) -> np.ndarray:
+    if not isinstance(V_spec, dict):
+        V = np.asarray(V_spec, dtype=float)
+        if V.ndim != 1 or (n is not None and len(V) != n):
+            raise ConfigError(f"V must list one number per node, got shape {V.shape}")
+        return V
+    kind = V_spec.get("kind")
+    if kind in ("zero", "constant") and n is None:
+        raise ConfigError(f"{kind} potential needs a known node count")
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, float(V_spec["value"]))
+    if kind == "harmonic":
+        if coords is None:
+            raise ConfigError("harmonic potential needs node coordinates")
+        c = float(V_spec.get("coefficient", 0.5))
+        return c * np.sum(np.atleast_2d(coords) ** 2, axis=1)
+    raise ConfigError(f"unknown V kind {kind!r}")
 
-    {"V": [...], "W": {"kind": "zero"|"diagonal"|"dense", ...}, "h": real}
-    V may also be {"kind": "zero"|"constant"|"harmonic", ...}; harmonic
-    needs node coordinates and is resolved by the CLI layer.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    return potentials_from_dict(data, n=n)
+
+def _interaction_matrix(W_spec, n) -> np.ndarray:
+    if not isinstance(W_spec, dict):
+        return np.asarray(W_spec, dtype=float)
+    kind = W_spec.get("kind")
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "diagonal":
+        return np.diag(np.full(n, float(W_spec["alpha"])))
+    if kind == "dense":
+        return np.asarray(W_spec["matrix"], dtype=float)
+    raise ConfigError(f"unknown W kind {kind!r}")
 
 
 def potentials_from_dict(data, n=None, coords=None) -> PotentialSpec:
+    """Potentials from their JSON object.
+
+    {"V": [...], "W": {"kind": "zero"|"diagonal"|"dense", ...}, "h": real}
+    V may also be {"kind": "zero"|"constant"|"harmonic", ...}; harmonic
+    needs the node coordinates ``coords``.  With the node count ``n``
+    given, a listed V must have n entries.  Missing or non-numeric entries
+    are a ConfigError.
+    """
     try:
-        V_spec = data["V"]
-        W_spec = data["W"]
+        V = _linear_potential(data["V"], n, coords)
+        W = _interaction_matrix(data["W"], len(V))
         h = float(data.get("h", 1.0))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed potentials: {exc}") from exc
-    if isinstance(V_spec, dict):
-        kind = V_spec.get("kind")
-        if kind == "zero":
-            if n is None:
-                raise ConfigError("zero potential needs a known node count")
-            V = np.zeros(n)
-        elif kind == "constant":
-            if n is None:
-                raise ConfigError("constant potential needs a known node count")
-            V = np.full(n, float(V_spec["value"]))
-        elif kind == "harmonic":
-            if coords is None:
-                raise ConfigError("harmonic potential needs node coordinates")
-            c = float(V_spec.get("coefficient", 0.5))
-            V = c * np.sum(np.atleast_2d(coords) ** 2, axis=1)
-        else:
-            raise ConfigError(f"unknown V kind {kind!r}")
-    else:
-        V = np.asarray(V_spec, dtype=float)
-    n = len(V)
-    if isinstance(W_spec, dict):
-        kind = W_spec.get("kind")
-        if kind == "zero":
-            W = np.zeros((n, n))
-        elif kind == "diagonal":
-            W = np.diag(np.full(n, float(W_spec["alpha"])))
-        elif kind == "dense":
-            W = np.asarray(W_spec["matrix"], dtype=float)
-        else:
-            raise ConfigError(f"unknown W kind {kind!r}")
-    else:
-        W = np.asarray(W_spec, dtype=float)
     return PotentialSpec(V, W, h)

@@ -30,6 +30,7 @@ __all__ = [
     "ground_gradient",
     "solve_ground_state",
     "eigen_residual",
+    "min_interaction_eigenvalue",
 ]
 
 ARMIJO_SLOPE = 1e-4
@@ -48,6 +49,18 @@ class GroundStateResult:
     kkt_residual: float
     iterations: int
     unique: bool = True  # False when W is not positive semidefinite
+
+
+def min_interaction_eigenvalue(W) -> float:
+    """Smallest eigenvalue of the symmetric interaction matrix W.
+
+    A diagonal W (zero included) is read off its diagonal in O(n^2); only
+    a W with off-diagonal entries takes the dense O(n^3) eigvalsh.
+    """
+    d = np.diag(W)
+    if np.count_nonzero(W) == np.count_nonzero(d):
+        return float(d.min())
+    return float(np.linalg.eigvalsh(W).min())
 
 
 def ground_energy(G: Graph, spec: PotentialSpec, rho) -> float:
@@ -181,8 +194,7 @@ def solve_ground_state(
         rho = check_interior(init, G.n)
         rho = rho / rho.sum()
     unique = True
-    w_min = float(np.linalg.eigvalsh(spec.W).min()) if spec.W.any() else 0.0
-    if w_min < -1e-12:
+    if min_interaction_eigenvalue(spec.W) < -1e-12:
         unique = False
         warnings.warn(
             "interaction matrix is not positive semidefinite; "

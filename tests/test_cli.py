@@ -141,13 +141,31 @@ def test_ground_state_harmonic_sweep(tmp_path):
         assert rho.min() > 0.0
 
 
-def test_ground_state_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPH_NLS_THREADS", "1")
-    path = os.path.join(REPO, "configs", "harmonic_lattice.json")
-    out = tmp_path / "out"
-    assert run(["ground-state", "--config", path, "--out", str(out)]) == 0
-    monkeypatch.setenv("GRAPH_NLS_THREADS", "zero")
-    assert run(["ground-state", "--config", path, "--out", str(out)]) == 1
+def ground_state_config(**overrides):
+    cfg = {
+        "schema": 1,
+        "command": "ground-state",
+        "graph": {"builder": "path", "n": 5, "x_min": -2.0, "x_max": 2.0},
+        "potentials": {"V": {"kind": "harmonic"}, "W": {"kind": "zero"}},
+        "h_values": [1.0],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_ground_state_sweep_matches_single_solves(tmp_path):
+    cfg = ground_state_config(h_values=[1.0, 0.5])
+    out = tmp_path / "sweep"
+    assert run(["ground-state", "--config", write_config(tmp_path, "c.json", cfg),
+                "--out", str(out)]) == 0
+    sweep = json.loads((out / "ground_state.json").read_text())["results"]
+    for h, entry in zip([1.0, 0.5], sweep):
+        single = ground_state_config(potentials={**cfg["potentials"], "h": h})
+        del single["h_values"]
+        one = tmp_path / f"h{h}"
+        assert run(["ground-state", "--config", write_config(tmp_path, "s.json", single),
+                    "--out", str(one)]) == 0
+        assert json.loads((one / "ground_state.json").read_text())["results"] == [entry]
 
 
 def test_stability_gpe_uniform(tmp_path):
@@ -241,6 +259,72 @@ def test_potentials_reject_non_finite_values(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_potentials_file_same_rule_in_every_subcommand(tmp_path):
+    pfile = tmp_path / "potentials.json"
+    harmonic = {"V": {"kind": "harmonic"}, "W": {"kind": "zero"}, "h": 1.0}
+    pfile.write_text(json.dumps(harmonic))
+    graph = {"builder": "path", "n": 5, "x_min": -2.0, "x_max": 2.0}
+    configs = {
+        "stability": stability_config(graph=graph, potentials={"file": str(pfile)}),
+        "ground-state": ground_state_config(potentials={"file": str(pfile)}),
+    }
+    for command, cfg in configs.items():
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+    pfile.write_text(json.dumps({**harmonic, "typo": 1.0}))
+    for command, cfg in configs.items():
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", simulate_config(integrator=5)),
+        ("simulate", simulate_config(graph=[1, 2])),
+        ("simulate", simulate_config(potentials="p.json")),
+        ("simulate", simulate_config(initial=5)),
+        ("simulate", simulate_config(initial={"rho": [0.5, 0.5], "S": [0.0]})),
+        ("simulate", simulate_config(potentials={"V": [0.0, 0.0], "W": {"kind": "zero"}})),
+        ("stability", stability_config(
+            graph={"builder": "explicit", "n": 2, "edges": [[1, 2, 1.0]]}, rho_g="uniform")),
+        ("stability", stability_config(tol="abc")),
+        ("stability", stability_config(rho_g=["x", 0.5, 0.5])),
+        ("stability", stability_config(
+            potentials={"V": [0.0] * 3, "W": {"kind": "diagonal"}, "h": 1.0})),
+        ("stability", stability_config(
+            potentials={"V": {"kind": "constant"}, "W": {"kind": "zero"}, "h": 1.0})),
+        ("ground-state", ground_state_config(h_values=[1.0, -1.0])),
+        ("ground-state", ground_state_config(h_values=1.0)),
+        ("ground-state", ground_state_config(h_values=[])),
+        ("ground-state", ground_state_config(h_values=["abc"])),
+        ("ground-state", ground_state_config(tol="abc")),
+        ("ground-state", ground_state_config(max_iter=[3])),
+    ],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):
+    path = write_config(tmp_path, "c.json", config)
+    assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys):
+    nan, inf = float("nan"), float("inf")
+    base = simulate_config()
+    for cfg in (
+        simulate_config(integrator={**base["integrator"], "dt": nan}),
+        simulate_config(integrator={**base["integrator"], "T": inf}),
+        simulate_config(integrator={**base["integrator"], "newton_tol": nan}),
+        simulate_config(initial={"rho": [0.6, 0.4], "S": [nan, -0.1]}),
+        simulate_config(initial={"rho": [0.6, 0.4], "S": [0.1, inf]}),
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 def test_linalg_error_exits_as_solver_failure(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -320,6 +404,20 @@ def test_verify_impossible_tolerance_exits_3(tmp_path, capsys):
     assert "FAIL euler_identity" in capsys.readouterr().out
     rep = json.loads((out / "verify.json").read_text())
     assert rep["passed"] is False
+
+
+def test_verify_override_cannot_loosen_a_failing_suite(tmp_path, capsys, monkeypatch):
+    def failing(seed=0):
+        return {"name": "hodge", "passed": False, "worst": 1e-14, "tolerance": 1e-12}
+
+    monkeypatch.setitem(cli.verify_mod.SUITES, "hodge", failing)
+    cfg = {"schema": 1, "command": "verify", "suites": ["hodge"],
+           "tolerances": {"hodge": 1.0}}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 3
+    assert "FAIL hodge" in capsys.readouterr().out
+    assert json.loads((out / "verify.json").read_text())["passed"] is False
 
 
 def test_verify_unknown_suite_rejected(tmp_path):

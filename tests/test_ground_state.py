@@ -11,7 +11,7 @@ from graph_nls import (
     solve_ground_state,
 )
 from graph_nls.energy import interaction_energy, potentials_from_dict
-from graph_nls.ground_state import NonConvexWarning
+from graph_nls.ground_state import NonConvexWarning, min_interaction_eigenvalue
 from conftest import cycle_graph, two_node, random_connected_graph, random_interior
 
 
@@ -109,6 +109,16 @@ def test_nonconvex_interaction_flagged():
     spec = PotentialSpec(np.zeros(2), -1.5 * np.eye(2), 1.0)
     with pytest.warns(NonConvexWarning):
         res = solve_ground_state(G, spec)
+    assert not res.unique
+
+
+def test_nonconvex_dense_interaction_flagged():
+    # off-diagonal and indefinite (eigenvalues 1.5 and -0.5), no negative entry
+    G = two_node()
+    W = np.array([[0.5, 1.0], [1.0, 0.5]])
+    assert min_interaction_eigenvalue(W) == pytest.approx(-0.5, abs=1e-14)
+    with pytest.warns(NonConvexWarning):
+        res = solve_ground_state(G, PotentialSpec(np.zeros(2), W, 1.0))
     assert not res.unique
 
 

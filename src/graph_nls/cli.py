@@ -11,6 +11,7 @@ output is kept), 3 a verify property suite failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -60,6 +61,15 @@ def _require_keys(data, allowed, required, where):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+@contextlib.contextmanager
+def _numbers(where):
+    """Turn a failed int()/float() conversion of config values into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} settings must be numbers: {exc}") from exc
+
+
 def load_config(path, command) -> dict:
     try:
         with open(path) as f:
@@ -94,9 +104,11 @@ def _build_graph_from_config(gspec) -> Graph:
     builder = gspec.get("builder")
     if builder == "explicit":
         _require_keys(gspec, {"builder", "n", "edges", "coords"}, {"n", "edges"}, "graph")
-        edges = [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in gspec["edges"]]
-        coords = np.asarray(gspec["coords"], float) if "coords" in gspec else None
-        return build_graph(int(gspec["n"]), edges, coords=coords)
+        with _numbers("graph"):
+            n = int(gspec["n"])
+            edges = [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in gspec["edges"]]
+            coords = np.asarray(gspec["coords"], float) if "coords" in gspec else None
+        return build_graph(n, edges, coords=coords)
     if builder == "path":
         _require_keys(
             gspec,
@@ -104,12 +116,11 @@ def _build_graph_from_config(gspec) -> Graph:
             {"n", "x_min", "x_max"},
             "graph",
         )
+        with _numbers("graph"):
+            n, x_min, x_max = int(gspec["n"]), float(gspec["x_min"]), float(gspec["x_max"])
+            weight = float(gspec.get("weight", 1.0))
         return build_path_lattice(
-            int(gspec["n"]),
-            float(gspec["x_min"]),
-            float(gspec["x_max"]),
-            weight_mode=gspec.get("weight_mode", "continuum"),
-            weight=float(gspec.get("weight", 1.0)),
+            n, x_min, x_max, weight_mode=gspec.get("weight_mode", "continuum"), weight=weight
         )
     if builder == "torus":
         _require_keys(
@@ -118,11 +129,15 @@ def _build_graph_from_config(gspec) -> Graph:
             {"dims"},
             "graph",
         )
+        with _numbers("graph"):
+            dims = [int(d) for d in gspec["dims"]]
+            delta_x = float(gspec.get("delta_x", 1.0))
+            weight = float(gspec.get("weight", 1.0))
         return build_torus(
-            gspec["dims"],
-            delta_x=float(gspec.get("delta_x", 1.0)),
+            dims,
+            delta_x=delta_x,
             weight_mode=gspec.get("weight_mode", "continuum"),
-            weight=float(gspec.get("weight", 1.0)),
+            weight=weight,
         )
     raise ConfigError(f"unknown graph builder {builder!r}")
 
@@ -145,7 +160,7 @@ def _build_potentials(pspec, G: Graph) -> PotentialSpec:
 def _integrator_config(ispec) -> IntegratorConfig:
     allowed = {"method", "dt", "T", "newton_tol", "newton_max_iter", "output_every"}
     _require_keys(ispec, allowed, {"dt", "T"}, "integrator")
-    try:
+    with _numbers("integrator"):
         numbers = dict(
             dt=float(ispec["dt"]),
             T=float(ispec["T"]),
@@ -153,8 +168,6 @@ def _integrator_config(ispec) -> IntegratorConfig:
             newton_max_iter=int(ispec.get("newton_max_iter", 50)),
             output_every=int(ispec.get("output_every", 1)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"integrator settings must be numbers: {exc}") from exc
     return IntegratorConfig(method=ispec.get("method", "implicit_midpoint"), **numbers)
 
 
@@ -237,13 +250,11 @@ def cmd_ground_state(cfg_path, out_dir, seed) -> int:
         h_values = [pdata["h"]]
     else:
         raise ConfigError('give "h" in potentials or "h_values" in the config')
-    try:
+    with _numbers("ground-state"):
         h_values = [float(h) for h in h_values]
         tol = float(data.get("tol", 1e-10))
         max_iter = int(data.get("max_iter", 10**6))
         init = np.asarray(data["init"], float) if "init" in data else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ground-state settings must be numbers: {exc}") from exc
     base = potentials_from_dict(pdata, n=G.n, coords=G.coords)
     # every h is checked before the first solve writes an artifact
     specs = [dataclasses.replace(base, h=h) for h in h_values]
@@ -276,11 +287,9 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
     G = _build_graph_from_config(data["graph"])
     spec = _build_potentials(data["potentials"], G)
     rho_spec = data.get("rho_g", "solve")
-    try:
+    with _numbers("stability"):
         tol = float(data.get("tol", 1e-10))
         rho_g = np.asarray(rho_spec, float) if isinstance(rho_spec, list) else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stability settings must be numbers: {exc}") from exc
     if rho_spec == "uniform":
         rho_g = np.full(G.n, 1.0 / G.n)
     elif rho_spec == "solve":
@@ -340,16 +349,16 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
     G = _build_graph_from_config(data["graph"])
     if G.torus_dims is None:
         raise ConfigError("dispersion needs a torus graph")
-    h = float(data.get("h", 1.0))
     dims = G.torus_dims
     modes = data.get("modes", "all")
-    if modes == "all":
+    with _numbers("dispersion"):
+        h = float(data.get("h", 1.0))
+        mode_list = None if modes == "all" else np.asarray(modes, int)
+    if mode_list is None:
         grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
         mode_list = np.stack([g.ravel() for g in grids], axis=1)
-    else:
-        mode_list = np.asarray(modes, int)
-        if mode_list.ndim != 2 or mode_list.shape[1] != len(dims):
-            raise ConfigError(f'"modes" must be a list of {len(dims)}-vectors')
+    elif mode_list.ndim != 2 or mode_list.shape[1] != len(dims):
+        raise ConfigError(f'"modes" must be a list of {len(dims)}-vectors')
     rows = []
     worst = 0.0
     for m in mode_list:

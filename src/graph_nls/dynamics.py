@@ -8,9 +8,9 @@ The flow is
 which is the sign combination under which the energy is an exact
 invariant and the wave function Psi = sqrt(rho) exp(i S / h) satisfies
 the Schrodinger-type equation with the nonlinear graph Laplacian.
-Default integrator is the implicit midpoint rule (symplectic; Newton
-iteration with the analytic Jacobian), with classical RK4 available for
-cross-checks.
+Default integrator is the implicit midpoint rule (symplectic; simplified
+Newton iteration on the analytic Jacobian), with classical RK4 available
+for cross-checks.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class Trajectory:
     ``norm_resid`` is the residual of the phase-normalization identity:
     sum_j S_j rho_j minus its initial value minus the accumulated
     integral of 1/2 (grad S, grad S)_rho - (h^2/8) I - V - 2 W.
+    ``newton_iterations`` and ``factorizations`` count the implicit
+    midpoint's Newton updates and Newton-matrix builds over every step
+    tried, failed ones included.
     """
 
     times: list = field(default_factory=list)
@@ -103,6 +106,8 @@ class Trajectory:
     norm_resid: list = field(default_factory=list)
     error: str | None = None
     halvings: int = 0
+    newton_iterations: int = 0
+    factorizations: int = 0
 
     def state(self, k) -> SystemState:
         return SystemState(self.rhos[k], self.Ss[k], self.times[k])
@@ -140,24 +145,84 @@ def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarra
     return J
 
 
-def _midpoint_step(G, spec, state, cfg):
+def _eliminate_phase(J, c):
+    """Block elimination of the phase half of I - c J; scales J in place.
+
+    With J = [[A, L], [B, -A^T]] from ``rhs_jacobian``, returns
+    Qi = (I + c A^T)^-1, K = c L Qi, R = c Qi B and the Schur complement
+    S = I - c A - c K B, so that (I - c J) [u; v] = [f; g] is solved by
+    u = S^-1 (f + K g), v = Qi g + R u.
+    """
+    n = len(J) // 2
+    J *= c
+    cA, cL, cB = J[:n, :n], J[:n, n:], J[n:, :n]
+    Qi = np.linalg.inv(np.eye(n) + cA.T)
+    K = cL @ Qi
+    S = np.eye(n) - cA
+    S -= K @ cB
+    return Qi, K, Qi @ cB, S
+
+
+class _NewtonMatrix:
+    """The simplified-Newton matrix I - dt/2 J, held as its block inverse.
+
+    Keeps Qi, K, R and Si = S^-1 of ``_eliminate_phase``: four n x n
+    matrices, never the 2n x 2n one.  ``simulate`` reuses one holder
+    across the Newton iterations and the steps of a run.
+    """
+
+    def __init__(self):
+        self.dt = None  # the dt the blocks were built for; None before the first
+        self.factorizations = 0
+        self.iterations = 0
+
+    def factor(self, G, spec, mid, dt):
+        # drop the old blocks first: at n = 1024 each is 8 MB
+        self.dt = self.Qi = self.K = self.R = self.Si = None
+        try:
+            # J is freed when _eliminate_phase returns, before the second inverse
+            self.Qi, self.K, self.R, S = _eliminate_phase(rhs_jacobian(G, spec, mid), 0.5 * dt)
+            self.Si = np.linalg.inv(S)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergence(f"singular Newton matrix: {exc}") from exc
+        self.dt = dt
+        self.factorizations += 1
+
+    def solve(self, F):
+        n = len(self.Qi)
+        f, g = F[:n], F[n:]
+        u = self.Si @ (f + self.K @ g)
+        self.iterations += 1
+        return np.concatenate([u, self.Qi @ g + self.R @ u])
+
+
+def _midpoint_step(G, spec, state, cfg, newton):
     n = G.n
+    dt = cfg.dt
     z0 = np.concatenate([state.rho, state.S])
     f0 = np.concatenate(rhs(G, spec, state))
-    z1 = z0 + cfg.dt * f0  # explicit Euler predictor
-    eye = np.eye(2 * n)
+    z1 = z0 + dt * f0  # explicit Euler predictor
+    prev = np.inf
     for _ in range(cfg.newton_max_iter):
+        if not np.isfinite(z1).all():
+            raise NewtonDivergence("Newton iterate is not finite")
         zm = 0.5 * (z0 + z1)
         if zm[:n].min() <= 0 or z1[:n].min() <= 0:
             raise StepLeftSimplex("midpoint density left the simplex interior")
-        mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * cfg.dt)
+        mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * dt)
         fm = np.concatenate(rhs(G, spec, mid))
-        F = z1 - z0 - cfg.dt * fm
+        F = z1 - z0 - dt * fm
         res = np.abs(F).max()
         if res <= cfg.newton_tol:
-            return SystemState(z1[:n], z1[n:], state.t + cfg.dt)
-        J = eye - 0.5 * cfg.dt * rhs_jacobian(G, spec, mid)
-        z1 = z1 - np.linalg.solve(J, F)
+            return SystemState(z1[:n], z1[n:], state.t + dt)
+        if not np.isfinite(res):
+            raise NewtonDivergence(f"Newton residual is {res}")
+        # refactor at this midpoint when the blocks are for another dt, or
+        # when the last iteration cut the residual by less than 10x
+        if newton.dt != dt or res > 0.1 * prev:
+            newton.factor(G, spec, mid, dt)
+        prev = res
+        z1 = z1 - newton.solve(F)
     raise NewtonDivergence(
         f"residual {res:.3g} > {cfg.newton_tol:.3g} after {cfg.newton_max_iter} iterations"
     )
@@ -182,10 +247,21 @@ def _rk4_step(G, spec, state, cfg):
     return SystemState(z1[: G.n], z1[G.n :], state.t + dt)
 
 
-def step(G: Graph, spec: PotentialSpec, state: SystemState, cfg: IntegratorConfig):
-    """Advance one time step with the configured method."""
+def step(
+    G: Graph,
+    spec: PotentialSpec,
+    state: SystemState,
+    cfg: IntegratorConfig,
+    newton: _NewtonMatrix | None = None,
+):
+    """Advance one time step with the configured method.
+
+    ``newton`` carries the implicit midpoint's Newton matrix from one step
+    to the next (``simulate`` passes one); without it the step builds its
+    own.
+    """
     if cfg.method == "implicit_midpoint":
-        return _midpoint_step(G, spec, state, cfg)
+        return _midpoint_step(G, spec, state, cfg, newton or _NewtonMatrix())
     return _rk4_step(G, spec, state, cfg)
 
 
@@ -227,19 +303,21 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     emit(state)
     t_end = state.t + cfg.T
     dt = cfg.dt
-    halvings = 0
+    newton = _NewtonMatrix()
     k = 0
     while state.t < t_end - 1e-12 * cfg.T:
-        dt_k = min(dt, t_end - state.t)
+        # a remainder within rounding of dt is a full step: a dt that differs
+        # in its last bits would rebuild the Newton matrix for nothing
+        rest = t_end - state.t
+        dt_k = dt if rest > dt - 1e-12 * cfg.T else rest
         cfg_k = replace(cfg, dt=dt_k)
         try:
-            new = step(G, spec, state, cfg_k)
+            new = step(G, spec, state, cfg_k, newton)
         except (StepLeftSimplex, NewtonDivergence) as exc:
-            if halvings >= 5:
+            if traj.halvings >= 5:
                 traj.error = f"{type(exc).__name__}: {exc}"
-                traj.halvings = halvings
-                return traj
-            halvings += 1
+                break
+            traj.halvings += 1
             dt *= 0.5
             continue
         integrand = _norm_integrand(G, spec, new.rho, new.S)
@@ -249,7 +327,8 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
         k += 1
         if k % cfg.output_every == 0 or state.t >= t_end - 1e-12 * cfg.T:
             emit(state)
-    traj.halvings = halvings
+    traj.newton_iterations = newton.iterations
+    traj.factorizations = newton.factorizations
     return traj
 
 

@@ -98,7 +98,7 @@ def _mirror_phase(G, spec, rho, tol, max_iter):
     nu, res = _kkt(grad, rho)
     eta = 1.0 / (1.0 + np.abs(grad).max())
     it = 0
-    while res > tol and it < max_iter:
+    while not res <= tol and it < max_iter:  # a NaN residual is not converged
         it += 1
         step_dir = grad - nu
         accepted = False
@@ -203,13 +203,13 @@ def solve_ground_state(
         )
 
     rho, energy, nu, res, it = _mirror_phase(G, spec, rho, tol, max_iter)
-    if res > tol:
+    if not res <= tol:
         rho, res, polish_it = _newton_phase(G, spec, rho, nu, tol)
         it += polish_it
         energy = ground_energy(G, spec, rho)
         grad = ground_gradient(G, spec, rho)
         nu, res = _kkt(grad, rho)
-    if res > tol:
+    if not res <= tol:
         raise MaxIterations(
             f"KKT residual {res:.3g} > {tol:.3g} after {it} iterations",
             result=GroundStateResult(rho, nu, energy, res, it, unique),

@@ -33,8 +33,12 @@ def atomic_write_text(path, text) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -96,6 +100,8 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "min_rho": float(min(traj.min_rho)),
         "max_norm_resid": float(np.abs(np.asarray(traj.norm_resid)).max()),
         "halvings": traj.halvings,
+        "newton_iterations": traj.newton_iterations,
+        "factorizations": traj.factorizations,
         "error": traj.error,
     }
     return summary

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graph_nls import cli
+from graph_nls.io import write_json
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -96,6 +97,16 @@ def test_simulate_solver_failure_keeps_partial(tmp_path):
     assert summary["error"] is not None
     assert summary["halvings"] == 5
     assert (out / "trajectory.csv").exists()
+
+
+def test_simulate_summary_reports_newton_work(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", simulate_config())
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # 500 steps of at least one Newton update each, on one reused matrix
+    assert summary["newton_iterations"] >= 500
+    assert 1 <= summary["factorizations"] <= 2
 
 
 def test_simulate_non_numeric_integrator_value(tmp_path, capsys):
@@ -277,6 +288,16 @@ def test_potentials_file_same_rule_in_every_subcommand(tmp_path):
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
 
 
+def dispersion_config(**overrides):
+    cfg = {
+        "schema": 1,
+        "command": "dispersion",
+        "graph": {"builder": "torus", "dims": [8], "delta_x": 1.0},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -300,6 +321,13 @@ def test_potentials_file_same_rule_in_every_subcommand(tmp_path):
         ("ground-state", ground_state_config(h_values=["abc"])),
         ("ground-state", ground_state_config(tol="abc")),
         ("ground-state", ground_state_config(max_iter=[3])),
+        ("stability", stability_config(
+            graph={"builder": "path", "n": "abc", "x_min": -1.0, "x_max": 1.0})),
+        ("stability", stability_config(
+            graph={"builder": "explicit", "n": 3, "edges": [[1, 2, "w"], [2, 3, 1.0]]})),
+        ("stability", stability_config(graph={"builder": "torus", "dims": ["x", 3]})),
+        ("dispersion", dispersion_config(h="abc")),
+        ("dispersion", dispersion_config(modes=[["a", 0]])),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):
@@ -334,6 +362,17 @@ def test_linalg_error_exits_as_solver_failure(tmp_path, capsys, monkeypatch):
     assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "solver error: Singular matrix\n"
+
+
+def test_artifacts_follow_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_json(tmp_path / "a.json", {"x": 1})
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.json").stat().st_mode & 0o777 == 0o640
+    write_json(tmp_path / "b.json", {"x": 1})
+    assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o666 & ~old
 
 
 def test_dispersion_cycle8(tmp_path):

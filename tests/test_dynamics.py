@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from graph_nls import (
     IncommensurateWaveNumber,
     IntegratorConfig,
+    NewtonDivergence,
     PotentialSpec,
     StepLeftSimplex,
     SystemState,
@@ -19,6 +22,7 @@ from graph_nls import (
     step,
     to_wave,
 )
+from graph_nls import dynamics
 from conftest import two_node, random_connected_graph, random_interior
 
 
@@ -190,6 +194,116 @@ def test_simulate_accepts_wave_initial():
     a = simulate(G, spec, st, cfg)
     b = simulate(G, spec, psi, cfg)
     assert np.abs(np.asarray(a.rhos) - np.asarray(b.rhos)).max() < 1e-12
+
+
+def full_newton_step(G, spec, state, dt, tol):
+    """Oracle: plain Newton, a fresh dense solve of I - dt/2 J every iteration."""
+    n = G.n
+    z0 = np.concatenate([state.rho, state.S])
+    z1 = z0 + dt * np.concatenate(rhs(G, spec, state))
+    for _ in range(50):
+        zm = 0.5 * (z0 + z1)
+        mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * dt)
+        F = z1 - z0 - dt * np.concatenate(rhs(G, spec, mid))
+        if np.abs(F).max() <= tol:
+            return SystemState(z1[:n], z1[n:], state.t + dt)
+        M = np.eye(2 * n) - 0.5 * dt * rhs_jacobian(G, spec, mid)
+        z1 = z1 - np.linalg.solve(M, F)
+    raise AssertionError("oracle Newton did not converge")
+
+
+def test_simplified_newton_matches_full_newton(rng):
+    cfg = IntegratorConfig(dt=5e-3, T=0.25, newton_tol=1e-13)
+    for _ in range(20):
+        G = random_connected_graph(rng)
+        n = G.n
+        dense = random_spec(rng, n)
+        for W in (np.zeros((n, n)), rng.uniform(-1.0, 1.0) * np.eye(n), dense.W):
+            spec = PotentialSpec(dense.V, W, dense.h)
+            state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+            traj = simulate(G, spec, state, cfg)
+            assert traj.error is None and len(traj) == 51
+            assert traj.factorizations < 50  # the matrix was reused
+            ref = state
+            for k in range(1, 51):
+                ref = full_newton_step(G, spec, ref, cfg.dt, cfg.newton_tol)
+                assert np.abs(traj.rhos[k] - ref.rho).max() <= 1e-11
+                assert np.abs(traj.Ss[k] - ref.S).max() <= 1e-11
+
+
+def test_newton_matrix_reused_across_steps(monkeypatch):
+    calls = []
+    real = dynamics.rhs_jacobian
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "rhs_jacobian", counted)
+    G = build_torus([16, 16], 1.0)
+    n = G.n
+    rng = np.random.default_rng(1)
+    rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, n)
+    state = SystemState(rho / rho.sum(), 0.1 * rng.normal(0.0, 1.0, n))
+    spec = PotentialSpec(np.zeros(n), np.eye(n), 1.0)
+    traj = simulate(G, spec, state, IntegratorConfig(dt=1e-3, T=2e-2, newton_tol=1e-12))
+    assert traj.error is None and len(traj) == 21
+    assert traj.factorizations == len(calls) <= 3
+
+
+def test_halving_refactors_for_the_new_dt(monkeypatch):
+    step_dt = []  # dt of each step as it starts
+    used = []  # (dt the blocks were built for, dt of the step) per Newton update
+    real_step, real_solve = dynamics.step, dynamics._NewtonMatrix.solve
+    calls = itertools.count()
+
+    def step_spy(G, spec, state, cfg, newton=None):
+        if next(calls) == 3:
+            raise NewtonDivergence("forced")
+        step_dt.append(cfg.dt)
+        return real_step(G, spec, state, cfg, newton)
+
+    def solve_spy(self, F):
+        used.append((self.dt, step_dt[-1]))
+        return real_solve(self, F)
+
+    monkeypatch.setattr(dynamics, "step", step_spy)
+    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", solve_spy)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=5e-3, newton_tol=1e-13))
+    assert traj.error is None and traj.halvings == 1
+    assert step_dt[:4] == [1e-3, 1e-3, 1e-3, 5e-4]
+    assert all(built == dt for built, dt in used)
+    assert (5e-4, 5e-4) in used
+    assert traj.factorizations >= 2
+
+
+@pytest.mark.parametrize("fault", ["singular", "nan"])
+def test_newton_failure_halves_the_step(monkeypatch, fault):
+    faults = itertools.count()
+    if fault == "singular":
+        real = np.linalg.inv
+
+        def inject(a):
+            if next(faults) == 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a)
+
+        monkeypatch.setattr(dynamics.np.linalg, "inv", inject)
+    else:
+        real = dynamics._NewtonMatrix.solve
+
+        def inject(self, F):
+            out = real(self, F)
+            return out * np.nan if next(faults) == 0 else out
+
+        monkeypatch.setattr(dynamics._NewtonMatrix, "solve", inject)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=1e-2, newton_tol=1e-13))
+    assert traj.error is None
+    assert traj.halvings == 1
 
 
 def test_wave_round_trip(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graph_nls import (
+    GraphNLSError,
     PotentialSpec,
     build_path_lattice,
     eigen_residual,
@@ -11,6 +12,7 @@ from graph_nls import (
     solve_ground_state,
 )
 from graph_nls.energy import interaction_energy, potentials_from_dict
+from graph_nls import ground_state
 from graph_nls.ground_state import NonConvexWarning, min_interaction_eigenvalue
 from conftest import cycle_graph, two_node, random_connected_graph, random_interior
 
@@ -120,6 +122,16 @@ def test_nonconvex_dense_interaction_flagged():
     with pytest.warns(NonConvexWarning):
         res = solve_ground_state(G, PotentialSpec(np.zeros(2), W, 1.0))
     assert not res.unique
+
+
+def test_nan_gradient_is_not_converged(monkeypatch):
+    # a NaN residual compares false against the tolerance either way round
+    monkeypatch.setattr(
+        ground_state, "ground_gradient", lambda G, spec, rho: np.full(G.n, np.nan)
+    )
+    G = build_path_lattice(5, -2.0, 2.0)
+    with pytest.raises(GraphNLSError):
+        solve_ground_state(G, PotentialSpec(np.linspace(0.0, 1.0, 5), np.zeros((5, 5)), 1.0))
 
 
 def test_eigen_residual_converged_cases():

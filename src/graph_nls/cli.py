@@ -29,7 +29,7 @@ from .dynamics import (
     simulate,
 )
 from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
-from .ground_state import eigen_residual, solve_ground_state
+from .ground_state import _kkt, eigen_residual, ground_gradient, solve_ground_state
 from .io import (atomic_write_text, format_float, load_initial_state,
                  trajectory_summary, write_json, write_trajectory_csv)
 from .stability import (
@@ -300,6 +300,12 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
             return EXIT_SOLVER
     elif rho_g is None:
         raise ConfigError('"rho_g" must be "uniform", "solve" or a density list')
+    # the linearization holds only at an equilibrium
+    _, kkt = _kkt(ground_gradient(G, spec, rho_g), rho_g)
+    if not kkt <= tol:
+        print(f"stability: rho_g is not stationary: KKT residual {kkt:.3g} > {tol:.3g}",
+              file=sys.stderr)
+        return EXIT_SOLVER
 
     try:
         report = spectrum(hamiltonian_matrix(G, spec, rho_g))
@@ -308,6 +314,7 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
         return EXIT_SOLVER
     out = {
         "rho_g": rho_g,
+        "kkt_residual": kkt,
         "eigenvalues": [[v.real, v.imag] for v in report.eigenvalues],
         "classification": report.classification,
         "bifurcation_modes": [],

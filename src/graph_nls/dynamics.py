@@ -9,8 +9,9 @@ which is the sign combination under which the energy is an exact
 invariant and the wave function Psi = sqrt(rho) exp(i S / h) satisfies
 the Schrodinger-type equation with the nonlinear graph Laplacian.
 Default integrator is the implicit midpoint rule (symplectic; simplified
-Newton iteration on the analytic Jacobian), with classical RK4 available
-for cross-checks.
+Newton iteration on the analytic Jacobian, started from a quadratic
+extrapolation of the last three steps), with classical RK4 available for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class Trajectory:
     ``norm_resid`` is the residual of the phase-normalization identity:
     sum_j S_j rho_j minus its initial value minus the accumulated
     integral of 1/2 (grad S, grad S)_rho - (h^2/8) I - V - 2 W.
-    ``newton_iterations`` and ``factorizations`` count the implicit
-    midpoint's Newton updates and Newton-matrix builds over every step
+    ``newton_iterations``, ``factorizations`` and ``extrapolated_starts``
+    count the implicit midpoint's Newton updates, Newton-matrix builds and
+    Newton solves started from the extrapolated predictor, over every step
     tried, failed ones included.
     """
 
@@ -108,6 +110,7 @@ class Trajectory:
     halvings: int = 0
     newton_iterations: int = 0
     factorizations: int = 0
+    extrapolated_starts: int = 0
 
     def state(self, k) -> SystemState:
         return SystemState(self.rhos[k], self.Ss[k], self.times[k])
@@ -163,18 +166,29 @@ def _eliminate_phase(J, c):
     return Qi, K, Qi @ cB, S
 
 
+def _extrapolate(starts):
+    """Quadratic extrapolation 3 z_k - 3 z_{k-1} + z_{k-2} of the next start."""
+    z2, z1, z0 = starts
+    return 3.0 * (z0 - z1) + z2
+
+
 class _NewtonMatrix:
     """The simplified-Newton matrix I - dt/2 J, held as its block inverse.
 
     Keeps Qi, K, R and Si = S^-1 of ``_eliminate_phase``: four n x n
     matrices, never the 2n x 2n one.  ``simulate`` reuses one holder
-    across the Newton iterations and the steps of a run.
+    across the Newton iterations and the steps of a run.  The holder also
+    keeps the starts of the last steps of one unbroken run at one dt, from
+    which ``predict`` extrapolates the next step's Newton start.
     """
 
     def __init__(self):
         self.dt = None  # the dt the blocks were built for; None before the first
         self.factorizations = 0
         self.iterations = 0
+        self.extrapolated = 0
+        self._last = None  # (state returned by the last step, its dt)
+        self._starts = []  # starts of the steps since the last reset, at most 3
 
     def factor(self, G, spec, mid, dt):
         # drop the old blocks first: at n = 1024 each is 8 MB
@@ -195,13 +209,35 @@ class _NewtonMatrix:
         self.iterations += 1
         return np.concatenate([u, self.Qi @ g + self.R @ u])
 
+    def predict(self, state, z0, dt):
+        """The extrapolated start of the step from ``state``, or None.
 
-def _midpoint_step(G, spec, state, cfg, newton):
+        The history continues only when ``state`` is the object the last
+        step returned and ``dt`` is that step's dt; otherwise it restarts
+        at ``z0``.  None until three starts are known, and None when the
+        extrapolated density is not strictly positive.
+        """
+        if self._last is None or self._last[0] is not state or self._last[1] != dt:
+            self._starts = []
+        self._last = None  # set again only when this step succeeds
+        self._starts = self._starts[-2:] + [z0]
+        if len(self._starts) < 3:
+            return None
+        z1 = _extrapolate(self._starts)
+        if not z1[: len(z0) // 2].min() > 0:
+            return None
+        self.extrapolated += 1
+        return z1
+
+    def accept(self, new, dt):
+        self._last = (new, dt)
+        return new
+
+
+def _newton_solve(G, spec, state, cfg, newton, z0, z1):
+    """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1."""
     n = G.n
     dt = cfg.dt
-    z0 = np.concatenate([state.rho, state.S])
-    f0 = np.concatenate(rhs(G, spec, state))
-    z1 = z0 + dt * f0  # explicit Euler predictor
     prev = np.inf
     for _ in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
@@ -226,6 +262,18 @@ def _midpoint_step(G, spec, state, cfg, newton):
     raise NewtonDivergence(
         f"residual {res:.3g} > {cfg.newton_tol:.3g} after {cfg.newton_max_iter} iterations"
     )
+
+
+def _midpoint_step(G, spec, state, cfg, newton):
+    z0 = np.concatenate([state.rho, state.S])
+    guess = newton.predict(state, z0, cfg.dt)
+    if guess is not None:
+        try:
+            return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, guess), cfg.dt)
+        except (StepLeftSimplex, NewtonDivergence):
+            pass  # a bad guess must not halve dt: start again from Euler
+    euler = z0 + cfg.dt * np.concatenate(rhs(G, spec, state))
+    return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, euler), cfg.dt)
 
 
 def _rk4_step(G, spec, state, cfg):
@@ -256,9 +304,10 @@ def step(
 ):
     """Advance one time step with the configured method.
 
-    ``newton`` carries the implicit midpoint's Newton matrix from one step
-    to the next (``simulate`` passes one); without it the step builds its
-    own.
+    ``newton`` carries the implicit midpoint's Newton matrix and its
+    history of step starts from one step to the next (``simulate`` passes
+    one); without it the step builds its own and starts Newton from the
+    explicit Euler predictor.
     """
     if cfg.method == "implicit_midpoint":
         return _midpoint_step(G, spec, state, cfg, newton or _NewtonMatrix())
@@ -304,13 +353,15 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     t_end = state.t + cfg.T
     dt = cfg.dt
     newton = _NewtonMatrix()
+    cfg_k = cfg
     k = 0
     while state.t < t_end - 1e-12 * cfg.T:
         # a remainder within rounding of dt is a full step: a dt that differs
         # in its last bits would rebuild the Newton matrix for nothing
         rest = t_end - state.t
         dt_k = dt if rest > dt - 1e-12 * cfg.T else rest
-        cfg_k = replace(cfg, dt=dt_k)
+        if dt_k != cfg_k.dt:
+            cfg_k = replace(cfg, dt=dt_k)
         try:
             new = step(G, spec, state, cfg_k, newton)
         except (StepLeftSimplex, NewtonDivergence) as exc:
@@ -329,6 +380,7 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
             emit(state)
     traj.newton_iterations = newton.iterations
     traj.factorizations = newton.factorizations
+    traj.extrapolated_starts = newton.extrapolated
     return traj
 
 

@@ -128,7 +128,8 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
     Solves grad E(rho) = nu, sum rho = 1 for (log rho, nu).  The residual
     stays computable to machine precision even when energy differences do
     not, so this drives the KKT residual below tolerances the line search
-    cannot reach.
+    cannot reach.  A non-finite residual stops the loop at the last
+    (finite) iterate.
     """
     n = G.n
     u = np.log(rho)
@@ -138,7 +139,7 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
         rho = np.exp(u)
         grad = ground_gradient(G, spec, np.maximum(rho, RHO_FLOOR))
         nu_hat, res = _kkt(grad, rho / rho.sum())
-        if res <= tol:
+        if res <= tol or not np.isfinite(res):
             break
         F = np.concatenate([grad - nu, [rho.sum() - 1.0]])
         H = spec.h**2 / 8.0 * fisher_hessian(G, rho) + spec.W

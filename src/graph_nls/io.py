@@ -102,6 +102,7 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "halvings": traj.halvings,
         "newton_iterations": traj.newton_iterations,
         "factorizations": traj.factorizations,
+        "extrapolated_starts": traj.extrapolated_starts,
         "error": traj.error,
     }
     return summary

@@ -109,6 +109,16 @@ def test_simulate_summary_reports_newton_work(tmp_path):
     assert 1 <= summary["factorizations"] <= 2
 
 
+def test_simulate_summary_reports_extrapolated_starts(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", simulate_config())
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # every step after the first two starts from the extrapolation
+    assert summary["extrapolated_starts"] == 498
+    assert summary["newton_iterations"] <= 504
+
+
 def test_simulate_non_numeric_integrator_value(tmp_path, capsys):
     for key, value in (("dt", "abc"), ("T", [1.0]), ("output_every", "x")):
         cfg = simulate_config()
@@ -247,6 +257,21 @@ def test_stability_rejects_non_finite_density(tmp_path, capsys):
         path = write_config(tmp_path, "c.json", stability_config(rho_g=[0.5, bad, 0.5]))
         assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+def test_stability_rejects_non_stationary_density(tmp_path, capsys):
+    graph = {"builder": "path", "n": 20, "x_min": -2.0, "x_max": 2.0}
+    potentials = {"V": {"kind": "harmonic"}, "W": {"kind": "zero"}, "h": 1.0}
+    out = tmp_path / "out"
+    cfg = stability_config(graph=graph, potentials=potentials, rho_g="uniform")
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["stability", "--config", path, "--out", str(out)]) == 2
+    assert "not stationary" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+    # the ground state of the same system is stationary and reports its residual
+    path = write_config(tmp_path, "c.json", {**cfg, "rho_g": "solve"})
+    assert run(["stability", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "spectrum.json").read_text())["kkt_residual"] <= 1e-10
 
 
 def test_potentials_reject_non_finite_values(tmp_path, capsys):

@@ -306,6 +306,78 @@ def test_newton_failure_halves_the_step(monkeypatch, fault):
     assert traj.halvings == 1
 
 
+def test_extrapolated_start_takes_one_update_per_step():
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=1.0, output_every=100))
+    steps = 1000
+    assert traj.error is None and traj.halvings == 0 and len(traj) == 11
+    assert traj.extrapolated_starts == steps - 2  # the first two start from Euler
+    assert traj.newton_iterations <= steps + 4
+
+
+def test_extrapolation_restarts_on_a_new_dt_or_state(monkeypatch):
+    taken = []  # (dt, started from the extrapolation) of each step that succeeded
+    real_step = dynamics.step
+    calls = itertools.count()
+
+    def step_spy(G, spec, state, cfg, newton=None):
+        if next(calls) == 5:
+            raise NewtonDivergence("forced")
+        before = newton.extrapolated
+        new = real_step(G, spec, state, cfg, newton)
+        taken.append((cfg.dt, newton.extrapolated - before))
+        return new
+
+    monkeypatch.setattr(dynamics, "step", step_spy)
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    # five steps of 1e-3, a forced halving, ten steps of 5e-4, a last step of 2e-4
+    traj = simulate(G, spec, st, IntegratorConfig(dt=1e-3, T=1.02e-2, newton_tol=1e-13))
+    assert traj.error is None and traj.halvings == 1
+    dts = [dt for dt, _ in taken]
+    assert dts[:15] == [1e-3] * 5 + [5e-4] * 10
+    assert len(dts) == 16 and dts[15] == pytest.approx(2e-4)
+    assert [used for _, used in taken] == [0, 0, 1, 1, 1] + [0, 0] + [1] * 8 + [0]
+
+    # a state equal to, but not the object returned by, the last step restarts it
+    cfg = IntegratorConfig(dt=1e-3)
+    newton = dynamics._NewtonMatrix()
+    state = st
+    for _ in range(3):
+        state = real_step(G, spec, state, cfg, newton)
+    assert newton.extrapolated == 1
+    state = real_step(G, spec, SystemState(state.rho.copy(), state.S.copy(), state.t),
+                      cfg, newton)
+    state = real_step(G, spec, state, cfg, newton)
+    assert newton.extrapolated == 1
+    real_step(G, spec, state, cfg, newton)
+    assert newton.extrapolated == 2
+
+
+@pytest.mark.parametrize("guess", ["negative", "nan"])
+def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    cfg = IntegratorConfig(dt=1e-3, T=2e-2, newton_tol=1e-13)
+    ref = simulate(G, spec, st, cfg)
+
+    def bad(starts):
+        z = starts[-1].copy()
+        if guess == "negative":
+            z[0] = -0.1  # rejected before Newton starts
+        else:
+            z[2:] = np.nan  # Newton fails from it, and the step retries from Euler
+        return z
+
+    monkeypatch.setattr(dynamics, "_extrapolate", bad)
+    traj = simulate(G, spec, st, cfg)
+    assert traj.error is None and traj.halvings == 0 and len(traj) == 21
+    assert traj.extrapolated_starts == (0 if guess == "negative" else 18)
+    assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
+    assert np.abs(np.asarray(traj.Ss) - np.asarray(ref.Ss)).max() <= 1e-11
+
+
 def test_wave_round_trip(rng):
     for h in [1.0, 0.3]:
         rho = random_interior(rng, 5)

@@ -3,6 +3,7 @@ import pytest
 
 from graph_nls import (
     GraphNLSError,
+    MaxIterations,
     PotentialSpec,
     build_path_lattice,
     eigen_residual,
@@ -132,6 +133,19 @@ def test_nan_gradient_is_not_converged(monkeypatch):
     G = build_path_lattice(5, -2.0, 2.0)
     with pytest.raises(GraphNLSError):
         solve_ground_state(G, PotentialSpec(np.linspace(0.0, 1.0, 5), np.zeros((5, 5)), 1.0))
+
+
+def test_nan_gradient_raises_max_iterations(monkeypatch):
+    monkeypatch.setattr(
+        ground_state, "ground_gradient", lambda G, spec, rho: np.full(G.n, np.nan)
+    )
+    G = build_path_lattice(5, -2.0, 2.0)
+    with pytest.raises(MaxIterations) as info:
+        solve_ground_state(G, PotentialSpec(np.linspace(0.0, 1.0, 5), np.zeros((5, 5)), 1.0))
+    partial = info.value.result
+    assert np.isfinite(partial.rho_g).all() and partial.rho_g.min() > 0
+    assert abs(partial.rho_g.sum() - 1.0) < 1e-12
+    assert np.isfinite(partial.energy)
 
 
 def test_eigen_residual_converged_cases():

@@ -320,15 +320,15 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
         "bifurcation_modes": [],
     }
     # closed-form cross-check only in the exactly solvable case
-    W_diag = np.diag(np.diag(spec.W))
+    w = spec.interaction  # a vector when W is diagonal
     is_gpe = (
         not spec.V.any()
-        and np.array_equal(spec.W, W_diag)
-        and np.ptp(np.diag(spec.W)) == 0.0
+        and w.ndim == 1
+        and np.ptp(w) == 0.0
         and np.allclose(rho_g, 1.0 / G.n)
     )
     if is_gpe:
-        alpha = float(spec.W[0, 0])
+        alpha = float(w[0])
         closed = gpe_spectrum_closed_form(G, alpha, spec.h)
         gap = spectrum_mismatch(report.eigenvalues, closed.eigenvalues)
         out["bifurcation_modes"] = closed.bifurcation_modes
@@ -393,16 +393,11 @@ def cmd_verify(cfg_path, out_dir, seed) -> int:
         _require_keys(
             data, {"schema", "command", "suites", "seed", "tolerances"}, set(), "config"
         )
-        suites = data.get("suites")
-        if suites is not None:
-            unknown = set(suites) - set(verify_mod.SUITES)
+        suites, tolerances = data.get("suites"), data.get("tolerances")
+        for key in ("suites", "tolerances"):
+            unknown = set(data.get(key) or ()) - set(verify_mod.SUITES)
             if unknown:
-                raise ConfigError(f"unknown verify suites: {sorted(unknown)}")
-        tolerances = data.get("tolerances")
-        if tolerances is not None:
-            unknown = set(tolerances) - set(verify_mod.SUITES)
-            if unknown:
-                raise ConfigError(f"unknown suites in tolerances: {sorted(unknown)}")
+                raise ConfigError(f'unknown verify suites in "{key}": {sorted(unknown)}')
         if seed is None:
             seed = data.get("seed")
     else:

@@ -33,9 +33,10 @@ from .energy import (
     PotentialSpec,
     check_interior,
     energy_terms,
-    fisher_gradient,
-    fisher_hessian,
+    fisher_gradient,  # noqa: F401  bench/tests checks that the tracer wraps it here
     hamiltonian,
+    static_gradient,
+    static_hessian,
     wave_edge_field,
 )
 from .graph import Graph, edge_means
@@ -93,6 +94,8 @@ class Trajectory:
     ``norm_resid`` is the residual of the phase-normalization identity:
     sum_j S_j rho_j minus its initial value minus the accumulated
     integral of 1/2 (grad S, grad S)_rho - (h^2/8) I - V - 2 W.
+    ``halving_events`` lists each step-size halving as (t, new dt), t
+    being the time of the step that failed.
     ``newton_iterations``, ``factorizations`` and ``extrapolated_starts``
     count the implicit midpoint's Newton updates, Newton-matrix builds and
     Newton solves started from the extrapolated predictor, over every step
@@ -107,13 +110,14 @@ class Trajectory:
     min_rho: list = field(default_factory=list)
     norm_resid: list = field(default_factory=list)
     error: str | None = None
-    halvings: int = 0
+    halving_events: list = field(default_factory=list)
     newton_iterations: int = 0
     factorizations: int = 0
     extrapolated_starts: int = 0
 
-    def state(self, k) -> SystemState:
-        return SystemState(self.rhos[k], self.Ss[k], self.times[k])
+    @property
+    def halvings(self) -> int:
+        return len(self.halving_events)
 
     def __len__(self):
         return len(self.times)
@@ -125,10 +129,9 @@ def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
     dS_edge = G.diff(state.S)
     drho = G.div(G.weights * dS_edge * edge_means(G, rho))
     # dH/drho: half the squared phase differences (dg/drho = 1/2 on both
-    # endpoints) plus the Fisher and potential gradients
+    # endpoints) plus the gradient of the static energy
     q = G.sum_ends(0.25 * G.weights * dS_edge**2)
-    dS = -(q + spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V + spec.W @ rho)
-    return drho, dS
+    return drho, -(q + static_gradient(G, spec, rho))
 
 
 def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarray:
@@ -138,12 +141,10 @@ def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarra
     # A = d(drho)/drho; d(drho)/dS = L(rho)
     half_w_dS = 0.5 * G.weights * G.diff(state.S)
     A = G.edge_matrix(G.div(half_w_dS), half_w_dS, -half_w_dS)
-    L = G.laplacian(G.weights * edge_means(G, rho))
-    B = -(spec.h**2 / 8.0 * fisher_hessian(G, rho) + spec.W)
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = A
-    J[:n, n:] = L
-    J[n:, :n] = B
+    J[:n, n:] = G.laplacian(G.weights * edge_means(G, rho))
+    np.negative(static_hessian(G, spec, rho), out=J[n:, :n])
     J[n:, n:] = -A.T
     return J
 
@@ -368,8 +369,8 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
             if traj.halvings >= 5:
                 traj.error = f"{type(exc).__name__}: {exc}"
                 break
-            traj.halvings += 1
             dt *= 0.5
+            traj.halving_events.append((state.t, dt))
             continue
         integrand = _norm_integrand(G, spec, new.rho, new.S)
         acc += 0.5 * dt_k * (prev_integrand + integrand)

@@ -27,6 +27,8 @@ __all__ = [
     "fisher_hessian",
     "potential_energy",
     "interaction_energy",
+    "static_gradient",
+    "static_hessian",
     "energy_terms",
     "hamiltonian",
     "wave_edge_field",
@@ -43,23 +45,30 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Linear potential V (per node), interaction matrix W, and constant h."""
+    """Linear potential V (per node), interaction W, and constant h.
+
+    ``interaction`` stores W as its diagonal (a length-n vector, applied in
+    O(n)) or as a dense symmetric n x n matrix; ``W`` is the matrix either way.
+    """
 
     V: np.ndarray
-    W: np.ndarray
+    interaction: np.ndarray
     h: float = 1.0
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
-        W = np.asarray(self.W, dtype=float)
+        W = np.asarray(self.interaction, dtype=float)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "W", W)
-        if W.shape != (len(V), len(V)):
-            raise ConfigError("W must be n x n with n = len(V)")
+        object.__setattr__(self, "interaction", W)
+        n = len(V)
+        if W.shape not in ((n,), (n, n)):
+            raise ConfigError("W must be n x n, or its diagonal, with n = len(V)")
         if not (np.isfinite(V).all() and np.isfinite(W).all()):
             raise ConfigError("potentials V and W must be finite")
-        if not np.allclose(W, W.T, atol=1e-12):
-            raise ConfigError("interaction matrix must be symmetric")
+        if W.ndim == 2:
+            gap = W - W.T
+            if np.abs(gap, out=gap).max() > 1e-12 * max(1.0, -W.min(), W.max()):
+                raise ConfigError("interaction matrix must be symmetric")
         if not 0 < self.h < np.inf:
             raise ConfigError("h must be positive and finite")
 
@@ -67,14 +76,20 @@ class PotentialSpec:
     def n(self) -> int:
         return len(self.V)
 
+    @property
+    def W(self) -> np.ndarray:
+        """W as an n x n matrix; a diagonal W is expanded on each access."""
+        w = self.interaction
+        return np.diag(w) if w.ndim == 1 else w
+
     @classmethod
     def free(cls, n: int, h: float = 1.0) -> "PotentialSpec":
-        return cls(np.zeros(n), np.zeros((n, n)), h)
+        return cls(np.zeros(n), np.zeros(n), h)
 
     @classmethod
     def gpe(cls, n: int, alpha: float, h: float = 1.0) -> "PotentialSpec":
         """V = 0, W = alpha * I (discrete Gross-Pitaevskii)."""
-        return cls(np.zeros(n), alpha * np.eye(n), h)
+        return cls(np.zeros(n), np.full(n, float(alpha)), h)
 
 
 def check_interior(rho, n=None):
@@ -134,11 +149,38 @@ def potential_energy(spec: PotentialSpec, rho) -> float:
     return float(spec.V @ rho)
 
 
+def _interaction_times(spec: PotentialSpec, x) -> np.ndarray:
+    """W x, in O(n) for a diagonal W."""
+    w = spec.interaction
+    return w * x if w.ndim == 1 else w @ x
+
+
 def interaction_energy(spec: PotentialSpec, rho) -> float:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (spec.n,):
         raise ConfigError("density/potential shape mismatch")
-    return float(0.5 * rho @ spec.W @ rho)
+    return 0.5 * float(rho @ _interaction_times(spec, rho))
+
+
+def static_gradient(G: Graph, spec: PotentialSpec, rho, fisher: bool = True) -> np.ndarray:
+    """Gradient (h^2/8) grad I + V + W rho of the static energy (h^2/8) I + V + W.
+
+    ``fisher=False`` leaves out the Fisher term: V + W rho then multiplies
+    Psi in the wave form, where -h^2/2 Lap_G Psi carries that term.
+    """
+    grad = spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V if fisher else spec.V
+    return grad + _interaction_times(spec, rho)
+
+
+def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
+    """Dense n x n Hessian (h^2/8) Hess I + W of the static energy."""
+    H = spec.h**2 / 8.0 * fisher_hessian(G, rho)
+    w = spec.interaction
+    if w.ndim == 1:
+        H[np.diag_indices(len(w))] += w
+    else:
+        H += w
+    return H
 
 
 def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
@@ -215,17 +257,21 @@ def _linear_potential(V_spec, n, coords) -> np.ndarray:
     raise ConfigError(f"unknown V kind {kind!r}")
 
 
-def _interaction_matrix(W_spec, n) -> np.ndarray:
-    if not isinstance(W_spec, dict):
-        return np.asarray(W_spec, dtype=float)
-    kind = W_spec.get("kind")
-    if kind == "zero":
-        return np.zeros((n, n))
-    if kind == "diagonal":
-        return np.diag(np.full(n, float(W_spec["alpha"])))
-    if kind == "dense":
-        return np.asarray(W_spec["matrix"], dtype=float)
-    raise ConfigError(f"unknown W kind {kind!r}")
+def _interaction(W_spec, n) -> np.ndarray:
+    """W as PotentialSpec stores it: kinds zero and diagonal as their diagonal."""
+    if isinstance(W_spec, dict):
+        kind = W_spec.get("kind")
+        if kind == "zero":
+            return np.zeros(n)
+        if kind == "diagonal":
+            return np.full(n, float(W_spec["alpha"]))
+        if kind != "dense":
+            raise ConfigError(f"unknown W kind {kind!r}")
+        W_spec = W_spec["matrix"]
+    W = np.asarray(W_spec, dtype=float)
+    if W.shape != (n, n):
+        raise ConfigError(f"W must be an n x n matrix with n = {n}, got shape {W.shape}")
+    return W
 
 
 def potentials_from_dict(data, n=None, coords=None) -> PotentialSpec:
@@ -239,7 +285,7 @@ def potentials_from_dict(data, n=None, coords=None) -> PotentialSpec:
     """
     try:
         V = _linear_potential(data["V"], n, coords)
-        W = _interaction_matrix(data["W"], len(V))
+        W = _interaction(data["W"], len(V))
         h = float(data.get("h", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed potentials: {exc}") from exc

@@ -18,8 +18,8 @@ from .energy import (
     PotentialSpec,
     check_interior,
     energy_terms,
-    fisher_gradient,
-    fisher_hessian,
+    static_gradient,
+    static_hessian,
 )
 from .dynamics import graph_laplacian_wave
 from .graph import Graph
@@ -52,14 +52,13 @@ class GroundStateResult:
 
 
 def min_interaction_eigenvalue(W) -> float:
-    """Smallest eigenvalue of the symmetric interaction matrix W.
+    """Smallest eigenvalue of the interaction W, as PotentialSpec stores it.
 
-    A diagonal W (zero included) is read off its diagonal in O(n^2); only
-    a W with off-diagonal entries takes the dense O(n^3) eigvalsh.
+    A diagonal W, given as its length-n diagonal, is read off in O(n); a
+    symmetric n x n matrix takes the dense O(n^3) eigvalsh.
     """
-    d = np.diag(W)
-    if np.count_nonzero(W) == np.count_nonzero(d):
-        return float(d.min())
+    if np.ndim(W) == 1:
+        return float(np.min(W))
     return float(np.linalg.eigvalsh(W).min())
 
 
@@ -69,8 +68,7 @@ def ground_energy(G: Graph, spec: PotentialSpec, rho) -> float:
 
 
 def ground_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
-    rho = check_interior(rho, G.n)
-    return spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V + spec.W @ rho
+    return static_gradient(G, spec, rho)
 
 
 def _kkt(grad, rho):
@@ -142,9 +140,8 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
         if res <= tol or not np.isfinite(res):
             break
         F = np.concatenate([grad - nu, [rho.sum() - 1.0]])
-        H = spec.h**2 / 8.0 * fisher_hessian(G, rho) + spec.W
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = H * rho[None, :]  # d grad / d u = H diag(rho)
+        J[:n, :n] = static_hessian(G, spec, rho) * rho[None, :]  # d grad / d u = H diag(rho)
         J[:n, n] = -1.0
         J[n, :n] = rho
         try:
@@ -195,7 +192,7 @@ def solve_ground_state(
         rho = check_interior(init, G.n)
         rho = rho / rho.sum()
     unique = True
-    if min_interaction_eigenvalue(spec.W) < -1e-12:
+    if min_interaction_eigenvalue(spec.interaction) < -1e-12:
         unique = False
         warnings.warn(
             "interaction matrix is not positive semidefinite; "
@@ -210,29 +207,19 @@ def solve_ground_state(
         energy = ground_energy(G, spec, rho)
         grad = ground_gradient(G, spec, rho)
         nu, res = _kkt(grad, rho)
+    result = GroundStateResult(rho, nu, energy, res, it, unique)
     if not res <= tol:
         raise MaxIterations(
-            f"KKT residual {res:.3g} > {tol:.3g} after {it} iterations",
-            result=GroundStateResult(rho, nu, energy, res, it, unique),
+            f"KKT residual {res:.3g} > {tol:.3g} after {it} iterations", result=result
         )
-    return GroundStateResult(
-        rho_g=rho,
-        nu=nu,
-        energy=energy,
-        kkt_residual=res,
-        iterations=it,
-        unique=unique,
-    )
+    return result
 
 
 def eigen_residual(G: Graph, spec: PotentialSpec, result: GroundStateResult) -> float:
     """Sup-norm residual of the nonlinear eigenvalue problem at sqrt(rho_g)."""
     psi = np.sqrt(np.asarray(result.rho_g, dtype=float)).astype(complex)
-    rho = np.abs(psi) ** 2
-    lhs = result.nu * psi
     rhs = (
         -spec.h**2 / 2.0 * graph_laplacian_wave(G, psi, h=spec.h)
-        + spec.V * psi
-        + psi * (spec.W @ rho)
+        + psi * static_gradient(G, spec, np.abs(psi) ** 2, fisher=False)
     )
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(result.nu * psi - rhs).max())

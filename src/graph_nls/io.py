@@ -100,6 +100,7 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "min_rho": float(min(traj.min_rho)),
         "max_norm_resid": float(np.abs(np.asarray(traj.norm_resid)).max()),
         "halvings": traj.halvings,
+        "halving_events": traj.halving_events,
         "newton_iterations": traj.newton_iterations,
         "factorizations": traj.factorizations,
         "extrapolated_starts": traj.extrapolated_starts,

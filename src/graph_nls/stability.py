@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphNLSError
-from .energy import PotentialSpec, check_interior, fisher_hessian
+from .energy import PotentialSpec, check_interior, static_hessian
 from .graph import Graph
 from .transport import WeightedLaplacian, weighted_laplacian
 
@@ -74,8 +74,8 @@ def plain_laplacian(G: Graph) -> np.ndarray:
 
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:
     rho_g = check_interior(rho_g, G.n)
-    bottom_left = -(spec.W + spec.h**2 / 8.0 * fisher_hessian(G, rho_g))
-    return HamiltonianMatrix(weighted_laplacian(G, rho_g), bottom_left)
+    hess = static_hessian(G, spec, rho_g)
+    return HamiltonianMatrix(weighted_laplacian(G, rho_g), np.negative(hess, out=hess))
 
 
 def _sort_complex(vals):

@@ -99,6 +99,20 @@ def test_simulate_solver_failure_keeps_partial(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_simulate_summary_reports_halving_events(tmp_path):
+    cfg = simulate_config(
+        initial={"rho": [1e-8, 1.0 - 1e-8], "S": [0.0, 10.0]},
+        integrator={"dt": 1e-3, "T": 1.0, "newton_tol": 1e-12},
+    )
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 2
+    events = json.loads((out / "summary.json").read_text())["halving_events"]
+    assert [dt for _, dt in events] == [1e-3 / 2**k for k in range(1, 6)]
+    times = [t for t, _ in events]
+    assert times == sorted(times) and 0.0 <= times[0] < 1.0
+
+
 def test_simulate_summary_reports_newton_work(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, "c.json", simulate_config())
@@ -353,6 +367,10 @@ def dispersion_config(**overrides):
         ("stability", stability_config(graph={"builder": "torus", "dims": ["x", 3]})),
         ("dispersion", dispersion_config(h="abc")),
         ("dispersion", dispersion_config(modes=[["a", 0]])),
+        # W is a matrix at the config boundary, never a vector of n numbers
+        ("simulate", simulate_config(potentials={"V": [0.0, 0.0], "W": [1.0, 1.0], "h": 1.0})),
+        ("simulate", simulate_config(
+            potentials={"V": [0.0, 0.0], "W": {"kind": "dense", "matrix": [1.0, 1.0]}, "h": 1.0})),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):

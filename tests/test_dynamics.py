@@ -279,6 +279,25 @@ def test_halving_refactors_for_the_new_dt(monkeypatch):
     assert traj.factorizations >= 2
 
 
+def test_halving_events_record_time_and_new_dt(monkeypatch):
+    real_step = dynamics.step
+    calls = itertools.count()
+
+    def failing_step(G, spec, state, cfg, newton=None):
+        if next(calls) in (3, 6):
+            raise NewtonDivergence("forced")
+        return real_step(G, spec, state, cfg, newton)
+
+    monkeypatch.setattr(dynamics, "step", failing_step)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=5e-3, newton_tol=1e-13))
+    assert traj.error is None and traj.halvings == 2
+    # three steps of 1e-3, then two of 5e-4, then the rest at 2.5e-4
+    assert traj.halving_events == [(pytest.approx(3e-3), 5e-4), (pytest.approx(4e-3), 2.5e-4)]
+    assert traj.times[-1] == pytest.approx(5e-3)
+
+
 @pytest.mark.parametrize("fault", ["singular", "nan"])
 def test_newton_failure_halves_the_step(monkeypatch, fault):
     faults = itertools.count()

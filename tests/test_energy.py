@@ -242,3 +242,14 @@ def test_potential_spec_rejects_asymmetric_W():
     W = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):
         PotentialSpec(np.zeros(2), W, 1.0)
+
+
+def test_symmetry_check_is_relative_to_the_largest_entry():
+    # a relative gap of 9e-6 breaks energy conservation of the flow
+    with pytest.raises(ConfigError):
+        PotentialSpec(np.zeros(2), np.array([[0.0, 1.0], [1.000009, 0.0]]), 1.0)
+    with pytest.raises(ConfigError):
+        PotentialSpec(np.zeros(2), np.array([[0.0, 0.0], [2e-12, 0.0]]), 1.0)
+    # roundoff-sized gaps pass at any scale
+    PotentialSpec(np.zeros(2), np.array([[0.0, 1e6], [1e6 + 1e-7, 0.0]]), 1.0)
+    PotentialSpec(np.zeros(2), np.array([[0.0, 0.0], [5e-13, 0.0]]), 1.0)

@@ -25,13 +25,14 @@ from .errors import ConfigError, GraphNLSError, MaxIterations
 from .dynamics import (
     IntegratorConfig,
     SystemState,
+    from_wave,
     plane_wave_residual,
     simulate,
 )
 from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
-from .ground_state import _kkt, eigen_residual, ground_gradient, solve_ground_state
-from .io import (atomic_write_text, format_float, load_initial_state,
-                 trajectory_summary, write_json, write_trajectory_csv)
+from .ground_state import KKT_TOL, _kkt, eigen_residual, ground_gradient, solve_ground_state
+from .io import (atomic_write_text, format_float, trajectory_summary, write_json,
+                 write_trajectory_csv)
 from .stability import (
     gpe_spectrum_closed_form,
     hamiltonian_matrix,
@@ -45,137 +46,133 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 
-def _require_object(data, where):
+def _as_is(value):
+    return value
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _read_section(data, where, keys, required=()) -> dict:
+    """The entries of the object ``data``, each converted by ``keys[key]``.
+
+    Unknown and missing keys are config errors.  A key the config leaves
+    out is left out here too, so the library's default applies.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f'"{where}" must be an object')
-    return data
-
-
-def _require_keys(data, allowed, required, where):
-    _require_object(data, where)
-    unknown = set(data) - set(allowed)
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = set(required) - set(data)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    return {key: keys[key](value) for key, value in data.items()}
+
+
+def _pick(data, *keys) -> dict:
+    """The entries of ``data`` under ``keys`` that the config gave."""
+    return {key: data[key] for key in keys if key in data}
 
 
 @contextlib.contextmanager
-def _numbers(where):
-    """Turn a failed int()/float() conversion of config values into a ConfigError."""
+def _reading_config(command):
+    """Report a config value that int(), float(), numpy or json rejects as a ConfigError."""
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} settings must be numbers: {exc}") from exc
+        raise ConfigError(f"malformed {command} config: {exc}") from exc
 
 
-def load_config(path, command) -> dict:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    if data.get("schema") != 1:
-        raise ConfigError('config must declare "schema": 1')
-    if "command" in data and data["command"] != command:
-        raise ConfigError(
-            f"config is for command {data['command']!r}, invoked as {command!r}"
-        )
-    return data
-
-
-def _read_json_file(path, what):
+def _read_json(path, what):
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _build_graph_from_config(gspec) -> Graph:
-    if "file" in _require_object(gspec, "graph"):
-        _require_keys(gspec, {"file"}, {"file"}, "graph")
-        return load_graph_json(gspec["file"])
-    builder = gspec.get("builder")
-    if builder == "explicit":
-        _require_keys(gspec, {"builder", "n", "edges", "coords"}, {"n", "edges"}, "graph")
-        with _numbers("graph"):
-            n = int(gspec["n"])
-            edges = [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in gspec["edges"]]
-            coords = np.asarray(gspec["coords"], float) if "coords" in gspec else None
-        return build_graph(n, edges, coords=coords)
-    if builder == "path":
-        _require_keys(
-            gspec,
-            {"builder", "n", "x_min", "x_max", "weight_mode", "weight"},
-            {"n", "x_min", "x_max"},
-            "graph",
+def load_config(path, command, keys, required=()) -> dict:
+    """The config of ``command``, its ``keys`` read by ``_read_section``.
+
+    Every config declares "schema": 1 and may name its command and a seed.
+    """
+    data = _read_json(path, "config")
+    if not isinstance(data, dict) or data.get("schema") != 1:
+        raise ConfigError('config must be a JSON object declaring "schema": 1')
+    if data.get("command", command) != command:
+        raise ConfigError(
+            f"config is for command {data['command']!r}, invoked as {command!r}"
         )
-        with _numbers("graph"):
-            n, x_min, x_max = int(gspec["n"]), float(gspec["x_min"]), float(gspec["x_max"])
-            weight = float(gspec.get("weight", 1.0))
-        return build_path_lattice(
-            n, x_min, x_max, weight_mode=gspec.get("weight_mode", "continuum"), weight=weight
-        )
-    if builder == "torus":
-        _require_keys(
-            gspec,
-            {"builder", "dims", "delta_x", "weight_mode", "weight"},
-            {"dims"},
-            "graph",
-        )
-        with _numbers("graph"):
-            dims = [int(d) for d in gspec["dims"]]
-            delta_x = float(gspec.get("delta_x", 1.0))
-            weight = float(gspec.get("weight", 1.0))
-        return build_torus(
-            dims,
-            delta_x=delta_x,
-            weight_mode=gspec.get("weight_mode", "continuum"),
-            weight=weight,
-        )
-    raise ConfigError(f"unknown graph builder {builder!r}")
+    keys = {"schema": _as_is, "command": _as_is, "seed": int, **keys}
+    return _read_section(data, "config", keys, required)
 
 
-def _potentials_data(pspec) -> dict:
-    """The potentials object, given inline or as {"file": path}."""
-    if "file" in _require_object(pspec, "potentials"):
-        _require_keys(pspec, {"file"}, {"file"}, "potentials")
-        pspec = _read_json_file(pspec["file"], "potentials")
-    _require_keys(pspec, {"V", "W", "h"}, {"V", "W"}, "potentials")
-    return pspec
+_FILE = {"file": os.fspath}
 
 
-def _build_potentials(pspec, G: Graph) -> PotentialSpec:
-    pdata = _potentials_data(pspec)
-    _require_keys(pdata, {"V", "W", "h"}, {"V", "W", "h"}, "potentials")
+def _inline(data, where):
+    """A section given inline, or the JSON object in the file {"file": path} names."""
+    if isinstance(data, dict) and "file" not in data:
+        return data
+    return _read_json(_read_section(data, where, _FILE, _FILE)["file"], where)
+
+
+def _edges(edges) -> list:
+    """1-based [j, l, w] triples as build_graph's 0-based (j, l, w)."""
+    return [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in edges]
+
+
+# builder: (function, {key: converter}, required keys)
+_GRAPHS = {
+    "explicit": (
+        lambda n, edges, **coords: build_graph(n, edges, **coords),
+        {"n": int, "edges": _edges, "coords": _floats},
+        {"n", "edges"},
+    ),
+    "path": (
+        build_path_lattice,
+        {"n": int, "x_min": float, "x_max": float, "weight_mode": str, "weight": float},
+        {"n", "x_min", "x_max"},
+    ),
+    "torus": (
+        build_torus,
+        {"dims": lambda dims: [int(d) for d in dims], "delta_x": float,
+         "weight_mode": str, "weight": float},
+        {"dims"},
+    ),
+}
+
+
+def _graph(data) -> Graph:
+    """The graph section: a builder and its keys, or {"file": path} in the on-disk format."""
+    if not isinstance(data, dict) or "file" in data:
+        return load_graph_json(_read_section(data, "graph", _FILE, _FILE)["file"])
+    if data.get("builder") not in _GRAPHS:
+        raise ConfigError(f"unknown graph builder {data.get('builder')!r}")
+    build, keys, required = _GRAPHS[data["builder"]]
+    kwargs = _read_section(data, "graph", {"builder": _as_is, **keys}, required)
+    del kwargs["builder"]
+    return build(**kwargs)
+
+
+def _potentials(data, G: Graph, required=("V", "W", "h")) -> PotentialSpec:
+    keys = {"V": _as_is, "W": _as_is, "h": float}
+    pdata = _read_section(_inline(data, "potentials"), "potentials", keys, required)
     return potentials_from_dict(pdata, n=G.n, coords=G.coords)
 
 
-def _integrator_config(ispec) -> IntegratorConfig:
-    allowed = {"method", "dt", "T", "newton_tol", "newton_max_iter", "output_every"}
-    _require_keys(ispec, allowed, {"dt", "T"}, "integrator")
-    with _numbers("integrator"):
-        numbers = dict(
-            dt=float(ispec["dt"]),
-            T=float(ispec["T"]),
-            newton_tol=float(ispec.get("newton_tol", 1e-12)),
-            newton_max_iter=int(ispec.get("newton_max_iter", 50)),
-            output_every=int(ispec.get("output_every", 1)),
-        )
-    return IntegratorConfig(method=ispec.get("method", "implicit_midpoint"), **numbers)
-
-
 def _initial_state(data, G: Graph, h: float) -> SystemState:
-    if "file" in _require_object(data, "initial"):
-        _require_keys(data, {"file"}, {"file"}, "initial")
-        data = _require_object(_read_json_file(data["file"], "initial state"), "initial")
-    state = load_initial_state(data, h)
+    """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}."""
+    data = _inline(data, "initial")
+    if "rho" in data or "S" in data:
+        keys = {"rho": _floats, "S": _floats}
+        state = SystemState(**_read_section(data, "initial", keys, keys))
+    else:
+        keys = {"psi_re": _floats, "psi_im": _floats}
+        psi = _read_section(data, "initial", keys, keys)
+        state = from_wave(psi["psi_re"] + 1j * psi["psi_im"], h)
     if state.rho.shape != (G.n,) or state.S.shape != (G.n,):
         raise ConfigError(
             f"initial state has shape {state.rho.shape}/{state.S.shape}, graph has {G.n} nodes"
@@ -185,83 +182,71 @@ def _initial_state(data, G: Graph, h: float) -> SystemState:
     return state
 
 
+_INTEGRATOR = {"method": str, "dt": float, "T": float, "newton_tol": float,
+               "newton_max_iter": int, "output_every": int}
+
+
 def cmd_simulate(cfg_path, out_dir, seed) -> int:
-    data = load_config(cfg_path, "simulate")
-    _require_keys(
-        data,
-        {"schema", "command", "graph", "potentials", "initial", "integrator", "seed"},
-        {"graph", "potentials", "initial", "integrator"},
-        "config",
-    )
-    G = _build_graph_from_config(data["graph"])
-    spec = _build_potentials(data["potentials"], G)
-    state = _initial_state(data["initial"], G, spec.h)
-    icfg = _integrator_config(data["integrator"])
+    sections = ("graph", "potentials", "initial", "integrator")
+    with _reading_config("simulate"):
+        data = load_config(cfg_path, "simulate", dict.fromkeys(sections, _as_is), sections)
+        G = _graph(data["graph"])
+        spec = _potentials(data["potentials"], G)
+        state = _initial_state(data["initial"], G, spec.h)
+        icfg = IntegratorConfig(
+            **_read_section(data["integrator"], "integrator", _INTEGRATOR, {"dt", "T"})
+        )
     traj = simulate(G, spec, state, icfg)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    write_json(os.path.join(out_dir, "summary.json"), trajectory_summary(traj))
+    summary = trajectory_summary(traj)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     if traj.error is not None:
         print(f"simulate: integrator failed: {traj.error}", file=sys.stderr)
         return EXIT_SOLVER
     print(
         f"simulate: {len(traj)} snapshots to t={traj.times[-1]:g}, "
-        f"energy drift {trajectory_summary(traj)['max_energy_drift']:.3g}"
+        f"energy drift {summary['max_energy_drift']:.3g}"
     )
     return EXIT_OK
 
 
-def _solve_one_ground_state(G, spec, tol, max_iter, init):
-    try:
-        res = solve_ground_state(G, spec, tol=tol, max_iter=max_iter, init=init)
-        failed = None
-    except MaxIterations as exc:
-        res, failed = exc.result, str(exc)
-    entry = {
-        "h": spec.h,
-        "rho_g": res.rho_g,
-        "nu": res.nu,
-        "energy": res.energy,
-        "kkt_residual": res.kkt_residual,
-        "eigen_residual": eigen_residual(G, spec, res),
-        "iterations": res.iterations,
-        "unique": res.unique,
-    }
-    if failed is not None:
-        entry["error"] = failed
-    return entry
+def _h_values(values) -> list:
+    if not isinstance(values, list) or not values:
+        raise ConfigError('"h_values" must be a non-empty list')
+    return [float(h) for h in values]
 
 
 def cmd_ground_state(cfg_path, out_dir, seed) -> int:
-    data = load_config(cfg_path, "ground-state")
-    _require_keys(
-        data,
-        {"schema", "command", "graph", "potentials", "h_values", "tol",
-         "max_iter", "init", "seed"},
-        {"graph", "potentials"},
-        "config",
-    )
-    G = _build_graph_from_config(data["graph"])
-    pdata = _potentials_data(data["potentials"])
-    if "h_values" in data:
-        h_values = data["h_values"]
-        if not isinstance(h_values, list) or not h_values:
-            raise ConfigError('"h_values" must be a non-empty list')
-    elif "h" in pdata:
-        h_values = [pdata["h"]]
-    else:
-        raise ConfigError('give "h" in potentials or "h_values" in the config')
-    with _numbers("ground-state"):
-        h_values = [float(h) for h in h_values]
-        tol = float(data.get("tol", 1e-10))
-        max_iter = int(data.get("max_iter", 10**6))
-        init = np.asarray(data["init"], float) if "init" in data else None
-    base = potentials_from_dict(pdata, n=G.n, coords=G.coords)
-    # every h is checked before the first solve writes an artifact
-    specs = [dataclasses.replace(base, h=h) for h in h_values]
+    keys = {"graph": _as_is, "potentials": _as_is, "h_values": _h_values,
+            "tol": float, "max_iter": int, "init": _floats}
+    with _reading_config("ground-state"):
+        data = load_config(cfg_path, "ground-state", keys, {"graph", "potentials"})
+        G = _graph(data["graph"])
+        # the one h comes from the potentials when there is no "h_values"
+        required = ("V", "W") if "h_values" in data else ("V", "W", "h")
+        base = _potentials(data["potentials"], G, required)
+        # every h is checked before the first solve writes an artifact
+        specs = [dataclasses.replace(base, h=h) for h in data.get("h_values", [base.h])]
+    options = _pick(data, "tol", "max_iter", "init")
 
     results = []
     for spec in specs:
-        entry = _solve_one_ground_state(G, spec, tol, max_iter, init)
+        try:
+            res, failed = solve_ground_state(G, spec, **options), None
+        except MaxIterations as exc:
+            res, failed = exc.result, str(exc)
+        entry = {
+            "h": spec.h,
+            "rho_g": res.rho_g,
+            "nu": res.nu,
+            "energy": res.energy,
+            "kkt_residual": res.kkt_residual,
+            "eigen_residual": eigen_residual(G, spec, res),
+            "iterations": res.iterations,
+            "unique": res.unique,
+        }
+        if failed is not None:
+            entry["error"] = failed
         results.append(entry)
         write_json(os.path.join(out_dir, f"ground_state_h{entry['h']:g}.json"), entry)
         if "error" in entry:
@@ -276,30 +261,29 @@ def cmd_ground_state(cfg_path, out_dir, seed) -> int:
     return EXIT_SOLVER if any("error" in entry for entry in results) else EXIT_OK
 
 
+def _density(value):
+    if value in ("uniform", "solve"):
+        return value
+    if not isinstance(value, list):
+        raise ConfigError('"rho_g" must be "uniform", "solve" or a density list')
+    return _floats(value)
+
+
 def cmd_stability(cfg_path, out_dir, seed) -> int:
-    data = load_config(cfg_path, "stability")
-    _require_keys(
-        data,
-        {"schema", "command", "graph", "potentials", "rho_g", "tol", "seed"},
-        {"graph", "potentials"},
-        "config",
-    )
-    G = _build_graph_from_config(data["graph"])
-    spec = _build_potentials(data["potentials"], G)
-    rho_spec = data.get("rho_g", "solve")
-    with _numbers("stability"):
-        tol = float(data.get("tol", 1e-10))
-        rho_g = np.asarray(rho_spec, float) if isinstance(rho_spec, list) else None
-    if rho_spec == "uniform":
-        rho_g = np.full(G.n, 1.0 / G.n)
-    elif rho_spec == "solve":
+    keys = {"graph": _as_is, "potentials": _as_is, "rho_g": _density, "tol": float}
+    with _reading_config("stability"):
+        data = load_config(cfg_path, "stability", keys, {"graph", "potentials"})
+        G = _graph(data["graph"])
+        spec = _potentials(data["potentials"], G)
+    tol = data.get("tol", KKT_TOL)
+    rho_g = data.get("rho_g", "solve")
+    if isinstance(rho_g, str):
         try:
-            rho_g = solve_ground_state(G, spec, tol=tol).rho_g
+            rho_g = (np.full(G.n, 1.0 / G.n) if rho_g == "uniform"
+                     else solve_ground_state(G, spec, tol=tol).rho_g)
         except MaxIterations as exc:
             print(f"stability: ground-state solve failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-    elif rho_g is None:
-        raise ConfigError('"rho_g" must be "uniform", "solve" or a density list')
     # the linearization holds only at an equilibrium
     _, kkt = _kkt(ground_gradient(G, spec, rho_g), rho_g)
     if not kkt <= tol:
@@ -345,22 +329,19 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
     return EXIT_OK
 
 
+def _modes(modes):
+    return None if modes == "all" else np.asarray(modes, dtype=int)
+
+
 def cmd_dispersion(cfg_path, out_dir, seed) -> int:
-    data = load_config(cfg_path, "dispersion")
-    _require_keys(
-        data,
-        {"schema", "command", "graph", "h", "modes", "seed"},
-        {"graph"},
-        "config",
-    )
-    G = _build_graph_from_config(data["graph"])
+    keys = {"graph": _as_is, "h": float, "modes": _modes}
+    with _reading_config("dispersion"):
+        data = load_config(cfg_path, "dispersion", keys, {"graph"})
+        G = _graph(data["graph"])
     if G.torus_dims is None:
         raise ConfigError("dispersion needs a torus graph")
     dims = G.torus_dims
-    modes = data.get("modes", "all")
-    with _numbers("dispersion"):
-        h = float(data.get("h", 1.0))
-        mode_list = None if modes == "all" else np.asarray(modes, int)
+    mode_list = data.get("modes")
     if mode_list is None:
         grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
         mode_list = np.stack([g.ravel() for g in grids], axis=1)
@@ -370,7 +351,7 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
     worst = 0.0
     for m in mode_list:
         k = 2.0 * np.pi * m / (np.asarray(dims) * G.delta_x)
-        resid = plane_wave_residual(G, k, h=h)
+        resid = plane_wave_residual(G, k, **_pick(data, "h"))
         worst = max(worst, resid)
         rows.append([*m, *k, 0.5 * float(k @ k), resid])
     header = (
@@ -386,25 +367,26 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
     return EXIT_OK
 
 
+def _suite_names(names) -> list:
+    unknown = set(names) - set(verify_mod.SUITES)
+    if unknown:
+        raise ConfigError(f"unknown verify suites: {sorted(unknown)}")
+    return list(names)
+
+
+def _tolerances(tolerances) -> dict:
+    return _read_section(tolerances, "tolerances", dict.fromkeys(verify_mod.SUITES, float))
+
+
 def cmd_verify(cfg_path, out_dir, seed) -> int:
-    tolerances = None
+    data = {}
     if cfg_path is not None:
-        data = load_config(cfg_path, "verify")
-        _require_keys(
-            data, {"schema", "command", "suites", "seed", "tolerances"}, set(), "config"
-        )
-        suites, tolerances = data.get("suites"), data.get("tolerances")
-        for key in ("suites", "tolerances"):
-            unknown = set(data.get(key) or ()) - set(verify_mod.SUITES)
-            if unknown:
-                raise ConfigError(f'unknown verify suites in "{key}": {sorted(unknown)}')
-        if seed is None:
-            seed = data.get("seed")
-    else:
-        suites = None
-    report = verify_mod.run_suites(
-        suites, seed=0 if seed is None else int(seed), tolerances=tolerances
-    )
+        with _reading_config("verify"):
+            keys = {"suites": _suite_names, "tolerances": _tolerances}
+            data = load_config(cfg_path, "verify", keys)
+    if seed is not None:
+        data["seed"] = seed
+    report = verify_mod.run_suites(data.get("suites"), **_pick(data, "seed", "tolerances"))
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(

@@ -60,6 +60,8 @@ class PotentialSpec:
         W = np.asarray(self.interaction, dtype=float)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "interaction", W)
+        if V.ndim != 1:
+            raise ConfigError(f"V must list one number per node, got shape {V.shape}")
         n = len(V)
         if W.shape not in ((n,), (n, n)):
             raise ConfigError("W must be n x n, or its diagonal, with n = len(V)")

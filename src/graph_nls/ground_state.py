@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 ARMIJO_SLOPE = 1e-4
+# default KKT residual max|grad - nu| of a converged ground state
+KKT_TOL = 1e-10
 
 
 class NonConvexWarning(UserWarning):
@@ -172,7 +174,7 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
 def solve_ground_state(
     G: Graph,
     spec: PotentialSpec,
-    tol: float = 1e-10,
+    tol: float = KKT_TOL,
     max_iter: int = 10**6,
     init=None,
 ) -> GroundStateResult:

@@ -1,4 +1,4 @@
-"""File formats: trajectory CSV, result JSON, initial-state files.
+"""File formats: trajectory CSV and result JSON.
 
 All floating point output uses 17 significant digits so values round-trip
 exactly.  Files are written to a temporary name and renamed into place.
@@ -12,15 +12,13 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
-from .dynamics import SystemState, Trajectory, from_wave
+from .dynamics import Trajectory
 
 __all__ = [
     "atomic_write_text",
     "write_json",
     "write_trajectory_csv",
     "trajectory_summary",
-    "load_initial_state",
     "format_float",
 ]
 
@@ -108,18 +106,3 @@ def trajectory_summary(traj: Trajectory) -> dict:
     }
     return summary
 
-
-def load_initial_state(data, h: float) -> SystemState:
-    """Initial state from {"rho": [...], "S": [...]} or {"psi_re", "psi_im"}."""
-    if "rho" in data and "S" in data:
-        if set(data) != {"rho", "S"}:
-            raise ConfigError(f"unexpected keys in initial state: {sorted(set(data) - {'rho', 'S'})}")
-        return SystemState(np.asarray(data["rho"], float), np.asarray(data["S"], float))
-    if "psi_re" in data and "psi_im" in data:
-        if set(data) != {"psi_re", "psi_im"}:
-            raise ConfigError(
-                f"unexpected keys in initial state: {sorted(set(data) - {'psi_re', 'psi_im'})}"
-            )
-        psi = np.asarray(data["psi_re"], float) + 1j * np.asarray(data["psi_im"], float)
-        return from_wave(psi, h)
-    raise ConfigError("initial state needs rho/S or psi_re/psi_im")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -377,6 +379,42 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, co
     path = write_config(tmp_path, "c.json", config)
     assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def _bad_graph_file(tmp_path):
+    gfile = tmp_path / "graph.json"
+    gfile.write_text("{not json")
+    return "stability", stability_config(graph={"file": str(gfile)})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _bad_graph_file,
+        lambda tmp_path: ("verify", {"schema": 1, "seed": "abc"}),
+        lambda tmp_path: ("verify", {"schema": 1, "suites": 5}),
+        lambda tmp_path: ("verify", {"schema": 1, "tolerances": {"hodge": "abc"}}),
+        lambda tmp_path: ("simulate", simulate_config(
+            initial={"psi_re": [0.5, 0.5], "psi_im": "x"})),
+    ],
+    ids=["graph-file-not-json", "verify-seed", "verify-suites", "verify-tolerance",
+         "simulate-psi-im"],
+)
+def test_malformed_config_prints_one_config_error_line(tmp_path, case):
+    command, config = case(tmp_path)
+    path = write_config(tmp_path, "c.json", config)
+    src = os.path.join(REPO, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "graph_nls.cli", command, "--config", path,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("config error:")
+    assert out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
 
 
 def test_simulate_rejects_non_finite_numbers(tmp_path, capsys):

@@ -244,6 +244,12 @@ def test_potential_spec_rejects_asymmetric_W():
         PotentialSpec(np.zeros(2), W, 1.0)
 
 
+@pytest.mark.parametrize("V", [np.zeros((2, 2)), np.zeros((2, 1)), np.float64(0.0)])
+def test_potential_spec_rejects_V_that_is_not_a_vector(V):
+    with pytest.raises(ConfigError, match="one number per node"):
+        PotentialSpec(V, np.zeros((2, 2)), 1.0)
+
+
 def test_symmetry_check_is_relative_to_the_largest_entry():
     # a relative gap of 9e-6 breaks energy conservation of the flow
     with pytest.raises(ConfigError):

@@ -9,13 +9,14 @@ which is the sign combination under which the energy is an exact
 invariant and the wave function Psi = sqrt(rho) exp(i S / h) satisfies
 the Schrodinger-type equation with the nonlinear graph Laplacian.
 Default integrator is the implicit midpoint rule (symplectic; simplified
-Newton iteration on the analytic Jacobian, started from a quadratic
-extrapolation of the last three steps), with classical RK4 available for
-cross-checks.
+Newton iteration started from a quadratic extrapolation of the last three
+steps, each update a GMRES solve with the analytic Jacobian applied
+matrix-free in O(n + m)), with classical RK4 available for cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,9 +35,9 @@ from .energy import (
     check_interior,
     energy_terms,
     fisher_gradient,  # noqa: F401  bench/tests checks that the tracer wraps it here
+    fisher_hessian_entries,
     hamiltonian,
     static_gradient,
-    static_hessian,
     wave_edge_field,
 )
 from .graph import Graph, edge_means
@@ -96,10 +97,11 @@ class Trajectory:
     integral of 1/2 (grad S, grad S)_rho - (h^2/8) I - V - 2 W.
     ``halving_events`` lists each step-size halving as (t, new dt), t
     being the time of the step that failed.
-    ``newton_iterations``, ``factorizations`` and ``extrapolated_starts``
-    count the implicit midpoint's Newton updates, Newton-matrix builds and
-    Newton solves started from the extrapolated predictor, over every step
-    tried, failed ones included.
+    ``newton_iterations``, ``krylov_matvecs``, ``factorizations`` and
+    ``extrapolated_starts`` count the implicit midpoint's Newton updates,
+    the products with the Jacobian that their GMRES solves made, the builds
+    of the Newton operator and the Newton solves started from the
+    extrapolated predictor, over every step tried, failed ones included.
     """
 
     times: list = field(default_factory=list)
@@ -112,6 +114,7 @@ class Trajectory:
     error: str | None = None
     halving_events: list = field(default_factory=list)
     newton_iterations: int = 0
+    krylov_matvecs: int = 0
     factorizations: int = 0
     extrapolated_starts: int = 0
 
@@ -125,46 +128,56 @@ class Trajectory:
 
 def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
     """Time derivatives (drho/dt, dS/dt) of the Hamiltonian flow."""
-    rho = check_interior(state.rho, G.n)
+    # the Fisher gradient checks that rho is an interior density on G
+    static = static_gradient(G, spec, state.rho)
     dS_edge = G.diff(state.S)
-    drho = G.div(G.weights * dS_edge * edge_means(G, rho))
+    drho = G.div(G.weights * dS_edge * edge_means(G, state.rho))
     # dH/drho: half the squared phase differences (dg/drho = 1/2 on both
     # endpoints) plus the gradient of the static energy
     q = G.sum_ends(0.25 * G.weights * dS_edge**2)
-    return drho, -(q + static_gradient(G, spec, rho))
+    return drho, -(q + static)
+
+
+def _jacobian_entries(G: Graph, spec: PotentialSpec, state: SystemState):
+    """The Jacobian J = [[A, L], [-H, -A^T]] of the right-hand side as entries.
+
+    Returns (rows, cols, values), the diagonal included, in O(n + m) numbers
+    (plus the nonzeros of a dense W).  A = d(drho)/drho, L = L(rho) and H is
+    the static Hessian (h^2/8) Hess I + W.  A (row, col) pair may repeat; the
+    entries then add up.
+    """
+    rho = check_interior(state.rho, G.n)
+    n, ej, el = G.n, G.ej, G.el
+    nodes = np.arange(n)
+    half_w_dS = 0.5 * G.weights * G.diff(state.S)
+    c = G.weights * edge_means(G, rho)  # L(rho) = D^T diag(c) D
+    fisher_diag, fisher_off = fisher_hessian_entries(G, rho)
+    k = spec.h**2 / 8.0
+    w = spec.interaction
+    hess_diag = k * fisher_diag + w if w.ndim == 1 else k * fisher_diag
+    a = G.div(half_w_dS)
+    rows = [nodes, ej, el, nodes, ej, el, n + nodes, n + ej, n + el, n + nodes, n + ej, n + el]
+    cols = [nodes, el, ej, n + nodes, n + el, n + ej, nodes, el, ej, n + nodes, n + el, n + ej]
+    vals = [a, half_w_dS, -half_w_dS,  # A
+            G.sum_ends(c), -c, -c,  # L
+            -hess_diag, -k * fisher_off, -k * fisher_off,  # -H
+            -a, half_w_dS, -half_w_dS]  # -A^T
+    if w.ndim == 2:
+        r, s = np.nonzero(w)
+        rows.append(n + r)
+        cols.append(s)
+        vals.append(-w[r, s])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarray:
-    """Analytic 2n x 2n Jacobian of the right-hand side."""
-    rho = check_interior(state.rho, G.n)
-    n = G.n
-    # A = d(drho)/drho; d(drho)/dS = L(rho)
-    half_w_dS = 0.5 * G.weights * G.diff(state.S)
-    A = G.edge_matrix(G.div(half_w_dS), half_w_dS, -half_w_dS)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = A
-    J[:n, n:] = G.laplacian(G.weights * edge_means(G, rho))
-    np.negative(static_hessian(G, spec, rho), out=J[n:, :n])
-    J[n:, n:] = -A.T
-    return J
+    """Analytic 2n x 2n Jacobian of the right-hand side, as a dense matrix.
 
-
-def _eliminate_phase(J, c):
-    """Block elimination of the phase half of I - c J; scales J in place.
-
-    With J = [[A, L], [B, -A^T]] from ``rhs_jacobian``, returns
-    Qi = (I + c A^T)^-1, K = c L Qi, R = c Qi B and the Schur complement
-    S = I - c A - c K B, so that (I - c J) [u; v] = [f; g] is solved by
-    u = S^-1 (f + K g), v = Qi g + R u.
+    The dense form of the entries that ``simulate`` applies matrix-free.
     """
-    n = len(J) // 2
-    J *= c
-    cA, cL, cB = J[:n, :n], J[:n, n:], J[n:, :n]
-    Qi = np.linalg.inv(np.eye(n) + cA.T)
-    K = cL @ Qi
-    S = np.eye(n) - cA
-    S -= K @ cB
-    return Qi, K, Qi @ cB, S
+    rows, cols, vals = _jacobian_entries(G, spec, state)
+    size = 2 * G.n
+    return np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
 
 
 def _extrapolate(starts):
@@ -173,42 +186,93 @@ def _extrapolate(starts):
     return 3.0 * (z0 - z1) + z2
 
 
-class _NewtonMatrix:
-    """The simplified-Newton matrix I - dt/2 J, held as its block inverse.
+# GMRES stops once |F - M x| <= _GMRES_TOL * newton_tol, and after at most
+# _KRYLOV_DIM matrix-vector products past the first
+_GMRES_TOL = 1e-3
+_KRYLOV_DIM = 30
 
-    Keeps Qi, K, R and Si = S^-1 of ``_eliminate_phase``: four n x n
-    matrices, never the 2n x 2n one.  ``simulate`` reuses one holder
-    across the Newton iterations and the steps of a run.  The holder also
-    keeps the starts of the last steps of one unbroken run at one dt, from
-    which ``predict`` extrapolates the next step's Newton start.
+
+class _NewtonMatrix:
+    """The simplified-Newton matrix M = I - dt/2 J, applied matrix-free.
+
+    ``build`` freezes J at one midpoint as the (rows, cols, values) entries
+    of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W, never an
+    n x n array.  A product K x is one gather and one ``np.bincount``.
+    ``solve`` runs GMRES on M from x = F, so every correction lies in
+    range(J), whose density half sums to zero: each update keeps the mass
+    exactly, as an exact solve would.
+    ``simulate`` reuses one holder across the Newton iterations and the
+    steps of a run.  The holder also keeps the starts of the last steps of
+    one unbroken run at one dt, from which ``predict`` extrapolates the
+    next step's Newton start.
     """
 
     def __init__(self):
-        self.dt = None  # the dt the blocks were built for; None before the first
-        self.factorizations = 0
+        self.dt = None  # the dt the operator was built for; None before the first
+        self.tol = None  # the Newton tolerance it was built for
+        self.builds = 0
         self.iterations = 0
+        self.matvecs = 0
         self.extrapolated = 0
         self._last = None  # (state returned by the last step, its dt)
         self._starts = []  # starts of the steps since the last reset, at most 3
 
-    def factor(self, G, spec, mid, dt):
-        # drop the old blocks first: at n = 1024 each is 8 MB
-        self.dt = self.Qi = self.K = self.R = self.Si = None
-        try:
-            # J is freed when _eliminate_phase returns, before the second inverse
-            self.Qi, self.K, self.R, S = _eliminate_phase(rhs_jacobian(G, spec, mid), 0.5 * dt)
-            self.Si = np.linalg.inv(S)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(f"singular Newton matrix: {exc}") from exc
-        self.dt = dt
-        self.factorizations += 1
+    def build(self, G, spec, mid, dt, tol):
+        rows, cols, vals = _jacobian_entries(G, spec, mid)
+        self._rows, self._cols, self._vals = rows, cols, 0.5 * dt * vals
+        self._size = 2 * G.n
+        self._basis = np.empty((_KRYLOV_DIM, self._size))
+        self.dt, self.tol = dt, tol
+        self.builds += 1
+
+    def _k_times(self, x):
+        """K x = dt/2 J x."""
+        self.matvecs += 1
+        return np.bincount(self._rows, self._vals * x[self._cols], self._size)
 
     def solve(self, F):
-        n = len(self.Qi)
-        f, g = F[:n], F[n:]
-        u = self.Si @ (f + self.K @ g)
+        """x with |F - M x| <= _GMRES_TOL * tol in the 2-norm, by GMRES from x = F.
+
+        The Arnoldi process runs on K; M = I - K has the same Krylov
+        spaces, and its Hessenberg matrix is the identity minus K's.  The
+        least-squares problem is reduced by Givens rotations on floats.
+        Stops early, with the best x so far, after _KRYLOV_DIM products;
+        the Newton iteration then goes on from that inexact update.
+        """
         self.iterations += 1
-        return np.concatenate([u, self.Qi @ g + self.R @ u])
+        tol = _GMRES_TOL * self.tol
+        w = self._k_times(F)  # the residual F - M F of the start x = F
+        g = [math.sqrt(w.dot(w))]  # the rotated right-hand side
+        if not g[0] < math.inf:
+            raise NewtonDivergence("GMRES residual is not finite")
+        basis = self._basis
+        norm = g[0]
+        cols, rotations = [], []
+        k = 0
+        while abs(g[-1]) > tol and k < _KRYLOV_DIM:
+            v = np.divide(w, norm, out=basis[k])
+            w = self._k_times(v)
+            h = basis[: k + 1].dot(w)  # classical Gram-Schmidt
+            w -= h.dot(basis[: k + 1])
+            norm = math.sqrt(w.dot(w))
+            col = (-h).tolist()  # the new column of M's Hessenberg matrix
+            col[-1] += 1.0
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            d = math.hypot(col[-1], norm)
+            if not 0.0 < d < math.inf:
+                raise NewtonDivergence("GMRES broke down: the Newton matrix is singular")
+            cs, sn = col[-1] / d, -norm / d
+            rotations.append((cs, sn))
+            col[-1] = d
+            cols.append(col)
+            g.append(-sn * g[-1])
+            g[-2] *= cs
+            k += 1
+        y = [0.0] * k
+        for i in reversed(range(k)):
+            y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, k))) / cols[i][i]
+        return F + np.array(y).dot(basis[:k])
 
     def predict(self, state, z0, dt):
         """The extrapolated start of the step from ``state``, or None.
@@ -243,9 +307,10 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     for _ in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
+        # z0 is interior, so the midpoint density is positive when z1's is
+        if z1[:n].min() <= 0:
+            raise StepLeftSimplex("Newton iterate density left the simplex interior")
         zm = 0.5 * (z0 + z1)
-        if zm[:n].min() <= 0 or z1[:n].min() <= 0:
-            raise StepLeftSimplex("midpoint density left the simplex interior")
         mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * dt)
         fm = np.concatenate(rhs(G, spec, mid))
         F = z1 - z0 - dt * fm
@@ -254,10 +319,10 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
             return SystemState(z1[:n], z1[n:], state.t + dt)
         if not np.isfinite(res):
             raise NewtonDivergence(f"Newton residual is {res}")
-        # refactor at this midpoint when the blocks are for another dt, or
-        # when the last iteration cut the residual by less than 10x
-        if newton.dt != dt or res > 0.1 * prev:
-            newton.factor(G, spec, mid, dt)
+        # rebuild at this midpoint when the operator is for another dt or
+        # tolerance, or when the last iteration cut the residual by less than 10x
+        if newton.dt != dt or newton.tol != cfg.newton_tol or res > 0.1 * prev:
+            newton.build(G, spec, mid, dt, cfg.newton_tol)
         prev = res
         z1 = z1 - newton.solve(F)
     raise NewtonDivergence(
@@ -305,7 +370,7 @@ def step(
 ):
     """Advance one time step with the configured method.
 
-    ``newton`` carries the implicit midpoint's Newton matrix and its
+    ``newton`` carries the implicit midpoint's Newton operator and its
     history of step starts from one step to the next (``simulate`` passes
     one); without it the step builds its own and starts Newton from the
     explicit Euler predictor.
@@ -380,7 +445,8 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
         if k % cfg.output_every == 0 or state.t >= t_end - 1e-12 * cfg.T:
             emit(state)
     traj.newton_iterations = newton.iterations
-    traj.factorizations = newton.factorizations
+    traj.krylov_matvecs = newton.matvecs
+    traj.factorizations = newton.builds
     traj.extrapolated_starts = newton.extrapolated
     return traj
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonInteriorDensity, ZeroModulus
-from .graph import Graph, edge_means, grad, inner_product
+from .graph import Graph, edge_means, grad
 
 __all__ = [
     "PotentialSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "fisher_information",
     "fisher_gradient",
     "fisher_hessian",
+    "fisher_hessian_entries",
     "potential_energy",
     "interaction_energy",
     "static_gradient",
@@ -98,9 +99,10 @@ def check_interior(rho, n=None):
     rho = np.asarray(rho, dtype=float)
     if n is not None and rho.shape != (n,):
         raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
-    if not np.isfinite(rho).all():
-        raise NonInteriorDensity("density has a non-finite entry")
-    if rho.min() < INTERIOR_FLOOR:
+    # a NaN or -inf fails the first test, a +inf the second
+    if not rho.min() >= INTERIOR_FLOOR or rho.max() == np.inf:
+        if not np.isfinite(rho).all():
+            raise NonInteriorDensity("density has a non-finite entry")
         raise NonInteriorDensity(
             f"density entry {rho.min():.3g} is at the simplex boundary"
         )
@@ -113,14 +115,19 @@ def edge_density(rho, edge) -> float:
     return 0.5 * (rho[j] + rho[l])
 
 
+def _fisher_sum(G: Graph, rho, g) -> float:
+    """I(rho) from an interior rho and its edge means g."""
+    d = G.diff(np.log(rho))
+    return float((G.weights * d * d * g).sum())
+
+
 def fisher_information(G: Graph, rho) -> float:
     """I(rho) = sum over edges of w (log rho_j - log rho_l)^2 g_jl.
 
     Accepts any strictly positive vector; I is 1-homogeneous in rho.
     """
     rho = check_interior(rho, G.n)
-    d = G.diff(np.log(rho))
-    return float(np.sum(G.weights * d * d * edge_means(G, rho)))
+    return _fisher_sum(G, rho, edge_means(G, rho))
 
 
 def fisher_gradient(G: Graph, rho) -> np.ndarray:
@@ -132,16 +139,25 @@ def fisher_gradient(G: Graph, rho) -> np.ndarray:
     """
     rho = check_interior(rho, G.n)
     d = G.diff(np.log(rho))
-    g = edge_means(G, rho)
-    return G.sum_ends(0.5 * G.weights * d * d) + G.div(2.0 * G.weights * d * g) / rho
+    wd = G.weights * d
+    return G.sum_ends(0.5 * wd * d) + G.div(2.0 * wd * edge_means(G, rho)) / rho
+
+
+def fisher_hessian_entries(G: Graph, rho):
+    """The Hessian of I as its diagonal and its value on each edge.
+
+    Built from t_lj = (drho)(dlog) + (rho_l + rho_j); the edge value sits at
+    both (ej, el) and (el, ej), so a product with the Hessian costs O(n + m).
+    """
+    rho = check_interior(rho, G.n)
+    wt = G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
+    return G.sum_ends(wt) / rho**2, -wt / (rho[G.ej] * rho[G.el])
 
 
 def fisher_hessian(G: Graph, rho) -> np.ndarray:
-    """Hessian of I with entries built from t_lj = (drho)(dlog) + (rho_l+rho_j)."""
-    rho = check_interior(rho, G.n)
-    wt = G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
-    off = -wt / (rho[G.ej] * rho[G.el])
-    return G.edge_matrix(G.sum_ends(wt) / rho**2, off, off)
+    """Dense n x n Hessian of I."""
+    diag, off = fisher_hessian_entries(G, rho)
+    return G.edge_matrix(diag, off, off)
 
 
 def potential_energy(spec: PotentialSpec, rho) -> float:
@@ -189,16 +205,18 @@ def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
     """The terms (kinetic, (h^2/8) I, V, W) of the energy at (rho, S).
 
     The kinetic term is 1/2 (grad S, grad S)_rho; without a phase S it is
-    0.0 and is not evaluated.
+    0.0 and is not evaluated.  The edge means of rho are formed once and
+    shared by the kinetic and Fisher terms.
     """
     rho = check_interior(rho, G.n)
+    g = edge_means(G, rho)
     kin = 0.0
     if S is not None:
         v = grad(G, S)
-        kin = 0.5 * inner_product(G, rho, v, v)
+        kin = 0.5 * float((v * v * g).sum())
     return (
         kin,
-        spec.h**2 / 8.0 * fisher_information(G, rho),
+        spec.h**2 / 8.0 * _fisher_sum(G, rho, g),
         potential_energy(spec, rho),
         interaction_energy(spec, rho),
     )

@@ -100,6 +100,7 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "halvings": traj.halvings,
         "halving_events": traj.halving_events,
         "newton_iterations": traj.newton_iterations,
+        "krylov_matvecs": traj.krylov_matvecs,
         "factorizations": traj.factorizations,
         "extrapolated_starts": traj.extrapolated_starts,
         "error": traj.error,

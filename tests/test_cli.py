@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graph_nls import cli
+from graph_nls import build_graph, cli, save_graph_json
 from graph_nls.io import write_json
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,6 +123,18 @@ def test_simulate_summary_reports_newton_work(tmp_path):
     # 500 steps of at least one Newton update each, on one reused matrix
     assert summary["newton_iterations"] >= 500
     assert 1 <= summary["factorizations"] <= 2
+
+
+def test_simulate_summary_reports_krylov_matvecs(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", simulate_config())
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    keys = list(summary)
+    assert keys.index("krylov_matvecs") == keys.index("newton_iterations") + 1
+    # each GMRES solve makes at least one product, two at this dt
+    assert summary["newton_iterations"] < summary["krylov_matvecs"]
+    assert summary["krylov_matvecs"] <= 3 * summary["newton_iterations"]
 
 
 def test_simulate_summary_reports_extrapolated_starts(tmp_path):
@@ -381,6 +393,24 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, co
     assert "config error" in capsys.readouterr().err
 
 
+def test_graph_file_rejects_unknown_keys(tmp_path, capsys):
+    gfile = tmp_path / "graph.json"
+    save_graph_json(build_graph(2, [(0, 1, 1.0)]), gfile)
+    path = write_config(tmp_path, "c.json", simulate_config(graph={"file": str(gfile)}))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "ok")]) == 0
+    gfile.write_text(json.dumps({**json.loads(gfile.read_text()), "weights": [2.0]}))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "weights" in err
+
+
+def test_missing_graph_file_cannot_be_read(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    path = write_config(tmp_path, "c.json", simulate_config(graph={"file": str(missing)}))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read graph {missing}")
+
+
 def _bad_graph_file(tmp_path):
     gfile = tmp_path / "graph.json"
     gfile.write_text("{not json")
@@ -538,6 +568,15 @@ def test_verify_override_cannot_loosen_a_failing_suite(tmp_path, capsys, monkeyp
     assert run(["verify", "--config", path, "--out", str(out)]) == 3
     assert "FAIL hodge" in capsys.readouterr().out
     assert json.loads((out / "verify.json").read_text())["passed"] is False
+
+
+def test_verify_empty_suite_list_is_a_config_error(tmp_path, capsys):
+    cfg = {"schema": 1, "command": "verify", "suites": []}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
 
 
 def test_verify_unknown_suite_rejected(tmp_path):

@@ -29,7 +29,7 @@ from .dynamics import (
     plane_wave_residual,
     simulate,
 )
-from .graph import Graph, build_graph, build_path_lattice, build_torus
+from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
 from .ground_state import KKT_TOL, _kkt, eigen_residual, ground_gradient, solve_ground_state
 from .io import (atomic_write_text, format_float, trajectory_summary, write_json,
                  write_trajectory_csv)
@@ -146,13 +146,13 @@ _GRAPHS = {
 
 
 def _graph(data) -> Graph:
-    """The graph section: a builder and its keys, or {"file": path} in the on-disk format.
-
-    The on-disk format holds the keys of the explicit builder, and nothing else.
-    """
+    """The graph section: a builder and its keys, or {"file": path} in the on-disk format."""
     if not isinstance(data, dict) or "file" in data:
-        build, keys, required = _GRAPHS["explicit"]
-        return build(**_read_section(_inline(data, "graph"), "graph", keys, required))
+        path = _read_section(data, "graph", _FILE, _FILE)["file"]
+        try:
+            return load_graph_json(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read graph {path}: {exc}") from exc
     if data.get("builder") not in _GRAPHS:
         raise ConfigError(f"unknown graph builder {data.get('builder')!r}")
     build, keys, required = _GRAPHS[data["builder"]]

@@ -186,8 +186,9 @@ def _extrapolate(starts):
     return 3.0 * (z0 - z1) + z2
 
 
-# GMRES stops once |F - M x| <= _GMRES_TOL * newton_tol, and after at most
-# _KRYLOV_DIM matrix-vector products past the first
+# GMRES stops once |F - M x| <= max(_GMRES_TOL * newton_tol, min(0.1, |F|) |F|)
+# in the 2-norm, and after at most _KRYLOV_DIM matrix-vector products past
+# the first
 _GMRES_TOL = 1e-3
 _KRYLOV_DIM = 30
 
@@ -200,7 +201,10 @@ class _NewtonMatrix:
     n x n array.  A product K x is one gather and one ``np.bincount``.
     ``solve`` runs GMRES on M from x = F, so every correction lies in
     range(J), whose density half sums to zero: each update keeps the mass
-    exactly, as an exact solve would.
+    exactly, as an exact solve would.  It asks a far-off iterate only for
+    a relative reduction of min(0.1, |F|) (an inexact Newton forcing term)
+    and a near one for an absolute residual of _GMRES_TOL times ``tol``,
+    the Newton tolerance, which the caller sets before solving.
     ``simulate`` reuses one holder across the Newton iterations and the
     steps of a run.  The holder also keeps the starts of the last steps of
     one unbroken run at one dt, from which ``predict`` extrapolates the
@@ -209,7 +213,7 @@ class _NewtonMatrix:
 
     def __init__(self):
         self.dt = None  # the dt the operator was built for; None before the first
-        self.tol = None  # the Newton tolerance it was built for
+        self.tol = None  # the Newton tolerance of the current solve
         self.builds = 0
         self.iterations = 0
         self.matvecs = 0
@@ -217,12 +221,12 @@ class _NewtonMatrix:
         self._last = None  # (state returned by the last step, its dt)
         self._starts = []  # starts of the steps since the last reset, at most 3
 
-    def build(self, G, spec, mid, dt, tol):
+    def build(self, G, spec, mid, dt):
         rows, cols, vals = _jacobian_entries(G, spec, mid)
         self._rows, self._cols, self._vals = rows, cols, 0.5 * dt * vals
         self._size = 2 * G.n
         self._basis = np.empty((_KRYLOV_DIM, self._size))
-        self.dt, self.tol = dt, tol
+        self.dt = dt
         self.builds += 1
 
     def _k_times(self, x):
@@ -231,7 +235,7 @@ class _NewtonMatrix:
         return np.bincount(self._rows, self._vals * x[self._cols], self._size)
 
     def solve(self, F):
-        """x with |F - M x| <= _GMRES_TOL * tol in the 2-norm, by GMRES from x = F.
+        """x with a small residual |F - M x| in the 2-norm, by GMRES from x = F.
 
         The Arnoldi process runs on K; M = I - K has the same Krylov
         spaces, and its Hessenberg matrix is the identity minus K's.  The
@@ -240,7 +244,8 @@ class _NewtonMatrix:
         the Newton iteration then goes on from that inexact update.
         """
         self.iterations += 1
-        tol = _GMRES_TOL * self.tol
+        f_norm = math.sqrt(F.dot(F))
+        tol = max(_GMRES_TOL * self.tol, min(0.1, f_norm) * f_norm)
         w = self._k_times(F)  # the residual F - M F of the start x = F
         g = [math.sqrt(w.dot(w))]  # the rotated right-hand side
         if not g[0] < math.inf:
@@ -303,6 +308,7 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1."""
     n = G.n
     dt = cfg.dt
+    newton.tol = cfg.newton_tol
     prev = np.inf
     for _ in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
@@ -319,10 +325,10 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
             return SystemState(z1[:n], z1[n:], state.t + dt)
         if not np.isfinite(res):
             raise NewtonDivergence(f"Newton residual is {res}")
-        # rebuild at this midpoint when the operator is for another dt or
-        # tolerance, or when the last iteration cut the residual by less than 10x
-        if newton.dt != dt or newton.tol != cfg.newton_tol or res > 0.1 * prev:
-            newton.build(G, spec, mid, dt, cfg.newton_tol)
+        # rebuild at this midpoint when the operator is for another dt, or
+        # when the last iteration cut the residual by less than 10x
+        if newton.dt != dt or res > 0.1 * prev:
+            newton.build(G, spec, mid, dt)
         prev = res
         z1 = z1 - newton.solve(F)
     raise NewtonDivergence(

@@ -239,9 +239,18 @@ def inner_product(G: Graph, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> fl
 
 
 def load_graph_json(path) -> Graph:
-    """Read the on-disk graph format (1-based node indices)."""
+    """Read the on-disk graph format (1-based node indices).
+
+    The file is a JSON object with the keys ``n``, ``edges`` and optionally
+    ``coords``; any other key is a ConfigError.
+    """
     with open(path) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ConfigError(f"graph file {path} must hold a JSON object")
+    unknown = set(data) - {"n", "edges", "coords"}
+    if unknown:
+        raise ConfigError(f"unknown keys in graph file {path}: {sorted(unknown)}")
     try:
         n = int(data["n"])
         edges = [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in data["edges"]]

@@ -191,6 +191,16 @@ def test_incidence_methods_match_dense_incidence(rng):
         assert np.allclose(A, D.T @ np.diag(f) @ np.abs(D), rtol=0, atol=1e-14)
 
 
+def test_graph_json_rejects_unknown_keys(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"n": 2, "edges": [[1, 2, 1.0]], "typo": 3}))
+    with pytest.raises(ConfigError, match="typo"):
+        load_graph_json(p)
+    p.write_text(json.dumps([2, [[1, 2, 1.0]]]))
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_graph_json(p)
+
+
 def test_graph_json_round_trip(tmp_path, rng):
     G = random_connected_graph(rng)
     p = tmp_path / "g.json"

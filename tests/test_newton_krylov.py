@@ -13,7 +13,7 @@ from graph_nls import (
     rhs_jacobian,
     simulate,
 )
-from graph_nls import dynamics
+from graph_nls import dynamics, verify
 from graph_nls.energy import static_hessian
 from graph_nls.graph import edge_means
 from conftest import random_connected_graph, random_interior
@@ -55,16 +55,20 @@ def test_operator_matches_dense_oracle(rng, kind):
         dt = float(rng.uniform(1e-3, 0.5))
         M = np.eye(2 * n) - 0.5 * dt * J
         newton = dynamics._NewtonMatrix()
-        newton.build(G, spec, state, dt, 1e-13)
+        newton.build(G, spec, state, dt)
+        newton.tol = 1e-13
         for _ in range(3):
             x = rng.normal(0.0, 1.0, 2 * n)
             assert np.abs(x - newton._k_times(x) - M @ x).max() <= 1e-14 * scale
-        # a Newton-sized residual is solved to the absolute GMRES tolerance
-        F = rng.normal(0.0, 1e-8, 2 * n)
-        x = newton.solve(F)
-        assert np.linalg.norm(M @ x - F) <= 1e-15
-        # the correction lies in range(J): the density half keeps F's mass
-        assert abs(x[:n].sum() - F[:n].sum()) <= 1e-22
+        # a residual near convergence is solved to the absolute GMRES
+        # tolerance 1e-3 newton_tol, a far one to the relative min(0.1, |F|)
+        for scale in (1e-12, 1e-8, 1e-3):
+            F = rng.normal(0.0, scale, 2 * n)
+            f_norm = np.linalg.norm(F)
+            x = newton.solve(F)
+            assert np.linalg.norm(M @ x - F) <= max(1e-16, min(0.1, f_norm) * f_norm)
+            # the correction lies in range(J): the density half keeps F's mass
+            assert abs(x[:n].sum() - F[:n].sum()) <= 1e-14 * scale
 
 
 def test_solve_counts_products_and_stops_at_the_tolerance():
@@ -73,12 +77,40 @@ def test_solve_counts_products_and_stops_at_the_tolerance():
     rng = np.random.default_rng(3)
     state = SystemState(random_interior(rng, 4), rng.normal(0.0, 0.3, 4))
     newton = dynamics._NewtonMatrix()
-    newton.build(G, spec, state, 1e-3, 1e-12)
+    newton.build(G, spec, state, 1e-3)
+    newton.tol = 1e-12
     # the start x = F already meets the tolerance: one product, x = F
     F = np.full(8, 1e-20)
     assert np.array_equal(newton.solve(F), F) and newton.matvecs == 1
     newton.solve(rng.normal(0.0, 1e-9, 8))
     assert newton.iterations == 2 and 3 <= newton.matvecs <= 5
+
+
+def test_far_residual_stops_at_the_forcing_term():
+    _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
+    newton = dynamics._NewtonMatrix()
+    newton.build(G, spec, state, 0.5)
+    newton.tol = 1e-13
+    F = np.random.default_rng(5).normal(0.0, 1.0, 2 * G.n)
+    F /= np.linalg.norm(F)
+    products = []
+    for f_norm in (1e-2, 1e-11):
+        before = newton.matvecs
+        newton.solve(f_norm * F)
+        products.append(newton.matvecs - before)
+    # a relative reduction of 1e-2 takes fewer products than the absolute 1e-16
+    assert products[0] < products[1]
+
+
+def test_stiff_battery_case_takes_no_halvings():
+    _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
+    cfg = IntegratorConfig(dt=0.5, T=100.0, newton_tol=1e-13, output_every=10**9)
+    traj = simulate(G, spec, state, cfg)
+    steps = 200
+    assert traj.error is None and traj.halvings == 0
+    assert traj.newton_iterations <= 7 * steps
+    # ~117 products per step; 168 with the absolute stop alone
+    assert traj.krylov_matvecs <= 140 * steps
 
 
 def test_two_midpoint_steps_on_a_64x64_torus_hold_no_n_by_n_array():

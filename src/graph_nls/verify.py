@@ -92,14 +92,80 @@ def _random_interior(rng, n) -> np.ndarray:
     return rho / rho.sum()
 
 
-def check_conservation(seed: int = 0, T: float = 10.0, dt: float = 1e-3) -> dict:
+# The conservation, reversibility, gauge and boundary-repulsion suites read
+# one integration of the battery (``_battery_config``), each up to its own
+# horizon.  A run to a shorter horizon is a bitwise prefix of a longer one:
+# no step before the horizon depends on T, and every horizon is a whole
+# number of snapshot intervals (0.1).
+_HORIZONS = {
+    "conservation": 10.0,
+    "reversibility": 2.0,
+    "gauge": 1.0,
+    "boundary_repulsion": 2.0,
+}
+# the Trajectory lists that hold one entry per snapshot
+_SNAPSHOTS = ("times", "rhos", "Ss", "mass", "energy", "min_rho", "norm_resid")
+
+
+def _battery_config(T: float, output_every: int = 100) -> IntegratorConfig:
+    return IntegratorConfig(dt=1e-3, T=T, newton_tol=1e-13, output_every=output_every)
+
+
+class BatteryRun:
+    """The battery integrated once at the shared settings, up to ``T``.
+
+    The first ``read`` integrates it, so the first suite that reads it
+    carries its cost.  A failed run is recorded once, here, and every
+    suite that reads it fails with its error.
+    """
+
+    def __init__(self, seed: int, T: float):
+        self.seed, self.T = seed, T
+        self._result = None
+
+    def read(self, T: float):
+        """(runs, error): (name, G, spec, state, trajectory) for each battery
+        case, each trajectory cut at time T; or (None, the reason)."""
+        if self._result is None:
+            self._result = self._integrate()
+        full, error = self._result
+        if error is not None:
+            return None, error
+        runs = []
+        for name, G, spec, state, traj in full:
+            k = int(np.searchsorted(traj.times, T + 1e-9, side="right"))
+            # a halving can move the snapshots off t = T
+            if abs(traj.times[k - 1] - T) > 1e-9:
+                return None, f"{name}: halvings {traj.halving_events} left no snapshot at t = {T:g}"
+            cut = replace(traj, **{f: getattr(traj, f)[:k] for f in _SNAPSHOTS})
+            runs.append((name, G, spec, state, cut))
+        return runs, None
+
+    def _integrate(self):
+        cfg = _battery_config(self.T)
+        runs = []
+        for name, G, spec, state in _battery(self.seed):
+            traj = simulate(G, spec, state, cfg)
+            if traj.error is not None:
+                return None, f"{name}: {traj.error}"
+            runs.append((name, G, spec, state, traj))
+        return runs, None
+
+
+def _battery_runs(suite: str, seed: int, runs: BatteryRun | None):
+    """The battery up to ``suite``'s horizon: from ``runs`` when given,
+    else integrated up to that horizon alone."""
+    T = _HORIZONS[suite]
+    return (runs if runs is not None else BatteryRun(seed, T)).read(T)
+
+
+def check_conservation(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """Mass and total energy along the symplectic integrator."""
-    cfg = IntegratorConfig(dt=dt, T=T, newton_tol=1e-13, output_every=100)
+    battery, error = _battery_runs("conservation", seed, runs)
+    if error is not None:
+        return _report("conservation", np.inf, 1e-8, detail=error)
     worst_mass = worst_energy = 0.0
-    for name, G, spec, state in _battery(seed):
-        traj = simulate(G, spec, state, cfg)
-        if traj.error is not None:
-            return _report("conservation", np.inf, 1e-8, detail=f"{name}: {traj.error}")
+    for _, _, _, _, traj in battery:
         mass = np.abs(np.asarray(traj.mass) - 1.0).max()
         e = np.asarray(traj.energy)
         drift = np.abs(e - e[0]).max() / abs(e[0])
@@ -110,14 +176,18 @@ def check_conservation(seed: int = 0, T: float = 10.0, dt: float = 1e-3) -> dict
     return _report("conservation", max(worst_mass * 1e2, worst_energy), 1e-8, detail=detail)
 
 
-def check_reversibility(seed: int = 0, T: float = 2.0, dt: float = 1e-3) -> dict:
+def check_reversibility(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """Negating S and re-integrating must return to the initial state."""
-    cfg = IntegratorConfig(dt=dt, T=T, newton_tol=1e-13, output_every=10**9)
+    battery, error = _battery_runs("reversibility", seed, runs)
+    if error is not None:
+        return _report("reversibility", np.inf, 1e-6, detail=error)
+    cfg = _battery_config(_HORIZONS["reversibility"], output_every=10**9)
     worst = 0.0
-    for _, G, spec, state in _battery(seed):
-        fwd = simulate(G, spec, state, cfg)
+    for name, G, spec, state, fwd in battery:
         flipped = SystemState(fwd.rhos[-1], -fwd.Ss[-1])
         back = simulate(G, spec, flipped, cfg)
+        if back.error is not None:
+            return _report("reversibility", np.inf, 1e-6, detail=f"{name}: {back.error}")
         err = max(
             np.abs(back.rhos[-1] - state.rho).max(),
             np.abs(-back.Ss[-1] - state.S).max(),
@@ -126,14 +196,18 @@ def check_reversibility(seed: int = 0, T: float = 2.0, dt: float = 1e-3) -> dict
     return _report("reversibility", worst, 1e-6)
 
 
-def check_gauge(seed: int = 0, alpha: float = 0.7, T: float = 1.0, dt: float = 1e-3) -> dict:
+def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """Shifting V by alpha leaves rho unchanged and shifts S by -alpha t."""
-    cfg = IntegratorConfig(dt=dt, T=T, newton_tol=1e-13, output_every=100)
+    battery, error = _battery_runs("gauge", seed, runs)
+    if error is not None:
+        return _report("gauge", np.inf, 1e-8, detail=error)
+    cfg = _battery_config(_HORIZONS["gauge"])
+    alpha = 0.7
     worst = 0.0
-    for _, G, spec, state in _battery(seed):
-        shifted = replace(spec, V=spec.V + alpha)
-        a = simulate(G, spec, state, cfg)
-        b = simulate(G, shifted, state, cfg)
+    for name, G, spec, state, a in battery:
+        b = simulate(G, replace(spec, V=spec.V + alpha), state, cfg)
+        if b.error is not None:
+            return _report("gauge", np.inf, 1e-8, detail=f"{name}: {b.error}")
         for k in range(len(a)):
             worst = max(worst, np.abs(a.rhos[k] - b.rhos[k]).max())
             worst = max(worst, np.abs(b.Ss[k] - (a.Ss[k] - alpha * a.times[k])).max())
@@ -163,10 +237,12 @@ def check_wave_residual(seed: int = 0) -> dict:
 
 def check_normalization(seed: int = 0) -> dict:
     """d/dt sum_j S_j rho_j matches its closed-form value along the flow."""
-    cfg = IntegratorConfig(dt=1e-3, T=0.2, newton_tol=1e-13, output_every=1)
+    cfg = _battery_config(0.2, output_every=1)
     worst = 0.0
-    for _, G, spec, state in _battery(seed):
+    for name, G, spec, state in _battery(seed):
         traj = simulate(G, spec, state, cfg)
+        if traj.error is not None:
+            return _report("normalization", np.inf, 1e-5, detail=f"{name}: {traj.error}")
         worst = max(worst, np.abs(np.asarray(traj.norm_resid)).max())
     return _report("normalization", worst, 1e-5)
 
@@ -251,17 +327,18 @@ def check_euler_identity(seed: int = 0, cases: int = 100) -> dict:
     return _report("euler_identity", worst, 1e-10)
 
 
-def check_boundary_repulsion(seed: int = 0, T: float = 2.0) -> dict:
+def check_boundary_repulsion(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """The Fisher term stays below the conserved energy budget, so the
     density cannot reach the simplex boundary."""
-    cfg = IntegratorConfig(dt=1e-3, T=T, newton_tol=1e-13, output_every=100)
+    battery, error = _battery_runs("boundary_repulsion", seed, runs)
+    if error is not None:
+        return _report("boundary_repulsion", np.inf, 1e-10, detail=error)
     worst = -np.inf
     ok = True
-    for _, G, spec, state in _battery(seed):
+    for _, G, spec, state, traj in battery:
         H0 = hamiltonian(G, spec, state.rho, state.S)
         w_min = min_interaction_eigenvalue(spec.interaction)
         budget = H0 - float(spec.V.min()) - min(0.0, 0.5 * w_min)
-        traj = simulate(G, spec, state, cfg)
         ok = ok and min(traj.min_rho) > 0.0
         for rho in traj.rhos:
             excess = spec.h**2 / 8.0 * fisher_information(G, rho) - budget
@@ -291,7 +368,14 @@ def run_suites(names=None, seed: int = 0, tolerances=None) -> dict:
     """
     if names is None:
         names = list(SUITES)
-    checks = [SUITES[name](seed=seed) for name in names]
+    # the suites that read the battery share one run of it, up to the
+    # longest horizon among them, made for this call alone
+    horizons = [_HORIZONS[name] for name in names if name in _HORIZONS]
+    runs = BatteryRun(seed, max(horizons)) if horizons else None
+    checks = [
+        SUITES[name](seed=seed, runs=runs) if name in _HORIZONS else SUITES[name](seed=seed)
+        for name in names
+    ]
     if tolerances:
         for c in checks:
             if c["name"] in tolerances:

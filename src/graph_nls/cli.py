@@ -31,8 +31,7 @@ from .dynamics import (
 )
 from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
 from .ground_state import KKT_TOL, _kkt, eigen_residual, ground_gradient, solve_ground_state
-from .io import (atomic_write_text, format_float, trajectory_summary, write_json,
-                 write_trajectory_csv)
+from .io import trajectory_summary, write_csv, write_json, write_trajectory_csv
 from .stability import (
     gpe_spectrum_closed_form,
     hamiltonian_matrix,
@@ -363,10 +362,7 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
         + [f"k_{i+1}" for i in range(len(dims))]
         + ["mu", "residual"]
     )
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
-    atomic_write_text(os.path.join(out_dir, "dispersion.csv"), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "dispersion.csv"), header, rows)
     print(f"dispersion: {len(rows)} modes, worst residual {worst:.3g}")
     return EXIT_OK
 

@@ -35,12 +35,12 @@ from .energy import (
     check_interior,
     energy_terms,
     fisher_gradient,  # noqa: F401  bench/tests checks that the tracer wraps it here
-    fisher_hessian_entries,
     hamiltonian,
     static_gradient,
+    static_hessian_entries,
     wave_edge_field,
 )
-from .graph import Graph, edge_means
+from .graph import Graph, dense, edge_means
 
 __all__ = [
     "SystemState",
@@ -147,27 +147,17 @@ def _jacobian_entries(G: Graph, spec: PotentialSpec, state: SystemState):
     entries then add up.
     """
     rho = check_interior(state.rho, G.n)
-    n, ej, el = G.n, G.ej, G.el
-    nodes = np.arange(n)
+    n = G.n
     half_w_dS = 0.5 * G.weights * G.diff(state.S)
     c = G.weights * edge_means(G, rho)  # L(rho) = D^T diag(c) D
-    fisher_diag, fisher_off = fisher_hessian_entries(G, rho)
-    k = spec.h**2 / 8.0
-    w = spec.interaction
-    hess_diag = k * fisher_diag + w if w.ndim == 1 else k * fisher_diag
     a = G.div(half_w_dS)
-    rows = [nodes, ej, el, nodes, ej, el, n + nodes, n + ej, n + el, n + nodes, n + ej, n + el]
-    cols = [nodes, el, ej, n + nodes, n + el, n + ej, nodes, el, ej, n + nodes, n + el, n + ej]
-    vals = [a, half_w_dS, -half_w_dS,  # A
-            G.sum_ends(c), -c, -c,  # L
-            -hess_diag, -k * fisher_off, -k * fisher_off,  # -H
-            -a, half_w_dS, -half_w_dS]  # -A^T
-    if w.ndim == 2:
-        r, s = np.nonzero(w)
-        rows.append(n + r)
-        cols.append(s)
-        vals.append(-w[r, s])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    A = G.edge_entries(a, half_w_dS, -half_w_dS)
+    L = G.edge_entries(G.sum_ends(c), -c, -c)
+    H = static_hessian_entries(G, spec, rho)
+    minus_At = G.edge_entries(-a, half_w_dS, -half_w_dS)
+    return (np.concatenate([A[0], L[0], n + H[0], n + minus_At[0]]),
+            np.concatenate([A[1], n + L[1], H[1], n + minus_At[1]]),
+            np.concatenate([A[2], L[2], -H[2], minus_At[2]]))
 
 
 def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarray:
@@ -175,9 +165,7 @@ def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarra
 
     The dense form of the entries that ``simulate`` applies matrix-free.
     """
-    rows, cols, vals = _jacobian_entries(G, spec, state)
-    size = 2 * G.n
-    return np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
+    return dense(*_jacobian_entries(G, spec, state), 2 * G.n)
 
 
 def _extrapolate(starts):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonInteriorDensity, ZeroModulus
-from .graph import Graph, edge_means, grad
+from .graph import Graph, dense, edge_means, grad
 
 __all__ = [
     "PotentialSpec",
@@ -30,6 +30,7 @@ __all__ = [
     "interaction_energy",
     "static_gradient",
     "static_hessian",
+    "static_hessian_entries",
     "energy_terms",
     "hamiltonian",
     "wave_edge_field",
@@ -144,20 +145,20 @@ def fisher_gradient(G: Graph, rho) -> np.ndarray:
 
 
 def fisher_hessian_entries(G: Graph, rho):
-    """The Hessian of I as its diagonal and its value on each edge.
+    """The Hessian of I as (rows, cols, vals) entries, O(n + m) of them.
 
     Built from t_lj = (drho)(dlog) + (rho_l + rho_j); the edge value sits at
     both (ej, el) and (el, ej), so a product with the Hessian costs O(n + m).
     """
     rho = check_interior(rho, G.n)
     wt = G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
-    return G.sum_ends(wt) / rho**2, -wt / (rho[G.ej] * rho[G.el])
+    off = -wt / (rho[G.ej] * rho[G.el])
+    return G.edge_entries(G.sum_ends(wt) / rho**2, off, off)
 
 
 def fisher_hessian(G: Graph, rho) -> np.ndarray:
     """Dense n x n Hessian of I."""
-    diag, off = fisher_hessian_entries(G, rho)
-    return G.edge_matrix(diag, off, off)
+    return dense(*fisher_hessian_entries(G, rho), G.n)
 
 
 def potential_energy(spec: PotentialSpec, rho) -> float:
@@ -190,15 +191,25 @@ def static_gradient(G: Graph, spec: PotentialSpec, rho, fisher: bool = True) -> 
     return grad + _interaction_times(spec, rho)
 
 
-def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
-    """Dense n x n Hessian (h^2/8) Hess I + W of the static energy."""
-    H = spec.h**2 / 8.0 * fisher_hessian(G, rho)
+def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
+    """Hessian (h^2/8) Hess I + W of the static energy as (rows, cols, vals).
+
+    A diagonal W is added to the diagonal values; a dense W appends its
+    nonzeros, so the entries stay O(n + m) plus those.
+    """
+    rows, cols, vals = fisher_hessian_entries(G, rho)
+    vals *= spec.h**2 / 8.0
     w = spec.interaction
     if w.ndim == 1:
-        H[np.diag_indices(len(w))] += w
-    else:
-        H += w
-    return H
+        vals[: G.n] += w
+        return rows, cols, vals
+    r, s = np.nonzero(w)
+    return np.concatenate([rows, r]), np.concatenate([cols, s]), np.concatenate([vals, w[r, s]])
+
+
+def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
+    """Dense n x n Hessian (h^2/8) Hess I + W of the static energy."""
+    return dense(*static_hessian_entries(G, spec, rho), G.n)
 
 
 def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):

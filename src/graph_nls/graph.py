@@ -36,6 +36,7 @@ __all__ = [
     "build_graph",
     "build_path_lattice",
     "build_torus",
+    "dense",
     "grad",
     "divergence",
     "inner_product",
@@ -87,17 +88,27 @@ class Graph:
         """|D|^T f: each edge value added at both endpoints."""
         return np.bincount(self.ej, f, self.n) + np.bincount(self.el, f, self.n)
 
+    def edge_entries(self, diag, upper, lower):
+        """Entries with ``diag`` on the diagonal (the first n values), ``upper``
+        at (ej, el) and ``lower`` at (el, ej); no pair repeats."""
+        nodes = np.arange(self.n)
+        return (np.concatenate([nodes, self.ej, self.el]),
+                np.concatenate([nodes, self.el, self.ej]),
+                np.concatenate([diag, upper, lower]))
+
     def edge_matrix(self, diag, upper, lower) -> np.ndarray:
-        """Dense matrix with ``diag`` on the diagonal, ``upper`` at (ej, el)
-        and ``lower`` at (el, ej); edges are unique, so nothing accumulates."""
-        M = np.diag(diag)
-        M[self.ej, self.el] = upper
-        M[self.el, self.ej] = lower
-        return M
+        """Dense form of ``edge_entries``."""
+        return dense(*self.edge_entries(diag, upper, lower), self.n)
 
     def laplacian(self, c: np.ndarray) -> np.ndarray:
         """D^T diag(c) D for per-edge conductances c."""
         return self.edge_matrix(self.sum_ends(c), -c, -c)
+
+
+def dense(rows, cols, vals, size) -> np.ndarray:
+    """The size x size matrix of (rows, cols, vals) entries, the one format of
+    every matrix over the nodes: a repeated (row, col) pair adds up."""
+    return np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
 
 
 def _check_connected(n, ej, el):

@@ -19,10 +19,10 @@ from .energy import (
     check_interior,
     energy_terms,
     static_gradient,
-    static_hessian,
+    static_hessian_entries,
 )
 from .dynamics import graph_laplacian_wave
-from .graph import Graph
+from .graph import Graph, dense
 
 __all__ = [
     "GroundStateResult",
@@ -132,6 +132,7 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
     (finite) iterate.
     """
     n = G.n
+    nodes, border = np.arange(n), np.full(n, n)
     u = np.log(rho)
     it = 0
     res = np.inf
@@ -142,10 +143,11 @@ def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
         if res <= tol or not np.isfinite(res):
             break
         F = np.concatenate([grad - nu, [rho.sum() - 1.0]])
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = static_hessian(G, spec, rho) * rho[None, :]  # d grad / d u = H diag(rho)
-        J[:n, n] = -1.0
-        J[n, :n] = rho
+        # the bordered system [[H diag(rho), -1], [rho^T, 0]]: d grad / d u = H diag(rho)
+        rows, cols, vals = static_hessian_entries(G, spec, rho)
+        J = dense(np.concatenate([rows, nodes, border]), np.concatenate([cols, border, nodes]),
+                  np.concatenate([vals, np.full(n, -1.0), rho]), n + 1)
+        J[:n, :n] *= rho
         try:
             d = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:

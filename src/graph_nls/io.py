@@ -16,6 +16,7 @@ from .dynamics import Trajectory
 
 __all__ = [
     "atomic_write_text",
+    "write_csv",
     "write_json",
     "write_trajectory_csv",
     "trajectory_summary",
@@ -45,24 +46,17 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def write_json(path, data) -> None:
-    atomic_write_text(path, json.dumps(_jsonable(data), indent=2) + "\n")
+    # numpy arrays and scalars go through .tolist(); np.float64 is a float
+    # subclass, so json writes it as it writes a float
+    text = json.dumps(data, indent=2, default=lambda obj: obj.tolist())
+    atomic_write_text(path, text + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line of 17-digit numbers per row."""
+    lines = [",".join(header)] + [",".join(format_float(x) for x in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -73,16 +67,11 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         + [f"S_{j+1}" for j in range(n)]
         + ["mass", "energy", "min_rho", "norm_resid"]
     )
-    lines = [",".join(cols)]
-    for k in range(len(traj)):
-        row = (
-            [traj.times[k]]
-            + list(traj.rhos[k])
-            + list(traj.Ss[k])
-            + [traj.mass[k], traj.energy[k], traj.min_rho[k], traj.norm_resid[k]]
-        )
-        lines.append(",".join(format_float(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, cols, (
+        [traj.times[k], *traj.rhos[k], *traj.Ss[k],
+         traj.mass[k], traj.energy[k], traj.min_rho[k], traj.norm_resid[k]]
+        for k in range(len(traj))
+    ))
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

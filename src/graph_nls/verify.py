@@ -206,8 +206,10 @@ def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     worst = 0.0
     for name, G, spec, state, a in battery:
         b = simulate(G, replace(spec, V=spec.V + alpha), state, cfg)
-        if b.error is not None:
-            return _report("gauge", np.inf, 1e-8, detail=f"{name}: {b.error}")
+        # the identity holds step by step: a halving in one run only breaks it
+        if b.error is not None or b.times != a.times:
+            why = b.error or f"halvings {a.halving_events} unshifted, {b.halving_events} shifted"
+            return _report("gauge", np.inf, 1e-8, detail=f"{name}: {why}")
         for k in range(len(a)):
             worst = max(worst, np.abs(a.rhos[k] - b.rhos[k]).max())
             worst = max(worst, np.abs(b.Ss[k] - (a.Ss[k] - alpha * a.times[k])).max())

@@ -486,6 +486,14 @@ def test_artifacts_follow_the_umask(tmp_path):
     assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o666 & ~old
 
 
+def test_json_writes_numpy_values_as_python_ones(tmp_path):
+    data = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+            "a": np.array([[1.5, 2.0]]), "t": (np.float32(0.5), np.intp(2))}
+    write_json(tmp_path / "a.json", data)
+    plain = {"f": 0.1, "i": 3, "b": True, "a": [[1.5, 2.0]], "t": [0.5, 2]}
+    assert (tmp_path / "a.json").read_text() == json.dumps(plain, indent=2) + "\n"
+
+
 def test_dispersion_cycle8(tmp_path):
     cfg = {
         "schema": 1,

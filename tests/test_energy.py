@@ -17,7 +17,13 @@ from graph_nls import (
     wave_energy_components,
     SystemState,
 )
-from graph_nls.energy import edge_density, potentials_from_dict
+from graph_nls.energy import (
+    edge_density,
+    potentials_from_dict,
+    static_gradient,
+    static_hessian,
+    static_hessian_entries,
+)
 from graph_nls.stability import plain_laplacian
 from conftest import (
     cycle_graph,
@@ -259,3 +265,30 @@ def test_symmetry_check_is_relative_to_the_largest_entry():
     # roundoff-sized gaps pass at any scale
     PotentialSpec(np.zeros(2), np.array([[0.0, 1e6], [1e6 + 1e-7, 0.0]]), 1.0)
     PotentialSpec(np.zeros(2), np.array([[0.0, 0.0], [5e-13, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("W", ["zero", "diagonal", "dense"])
+def test_static_hessian_entries_match_fd_of_static_gradient(rng, W):
+    for _ in range(5):
+        G = random_connected_graph(rng)
+        n = G.n
+        A = rng.normal(0.0, 0.5, (n, n))
+        interaction = {"zero": np.zeros(n), "diagonal": rng.uniform(-1.0, 1.0, n),
+                       "dense": A + A.T}[W]
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), interaction, float(rng.uniform(0.3, 1.5)))
+        rho = random_interior(rng, n)
+        rows, cols, vals = static_hessian_entries(G, spec, rho)
+        fd = np.array([
+            (static_gradient(G, spec, rho + e) - static_gradient(G, spec, rho - e)) / 2e-5
+            for e in 1e-5 * np.eye(n)
+        ]).T
+        scale = max(1.0, np.abs(fd).max())
+        H = static_hessian(G, spec, rho)
+        assert np.abs(H - fd).max() / scale < 1e-5
+        # a product with the entries is one gather and one scatter
+        for x in rng.normal(0.0, 1.0, (3, n)):
+            Hx = np.bincount(rows, vals * x[cols], n)
+            assert np.abs(Hx - fd @ x).max() / (scale * np.abs(x).sum()) < 1e-5
+            assert np.abs(Hx - H @ x).max() <= 1e-12 * scale * np.abs(x).sum()
+        # a diagonal W adds no entries to the Fisher pattern
+        assert len(vals) == n + 2 * G.m + (np.count_nonzero(interaction) if W == "dense" else 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from graph_nls import (
     MaxIterations,
     PotentialSpec,
     build_path_lattice,
+    build_torus,
     eigen_residual,
     ground_energy,
     ground_gradient,
@@ -175,3 +178,23 @@ def test_eigen_residual_grows_off_minimum():
         iterations=res.iterations,
     )
     assert eigen_residual(G, spec, fake) > base
+
+
+def test_newton_polish_assembles_one_bordered_matrix(monkeypatch):
+    """The polish of a 32 x 32 trap keeps at most ~2 (n+1)^2 arrays alive:
+    the bordered system and the copy that the dense solve factors."""
+    G = build_torus([32, 32])
+    x, y = G.coords.T
+    spec = PotentialSpec(5e-4 * ((x - 15.5) ** 2 + (y - 15.5) ** 2), np.ones(G.n), 0.5)
+    polished = []
+    real = ground_state._newton_phase
+    monkeypatch.setattr(ground_state, "_newton_phase",
+                        lambda *args: polished.append(None) or real(*args))
+    tracemalloc.start()
+    try:
+        res = solve_ground_state(G, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert polished and res.kkt_residual <= 1e-10
+    assert peak < 2.5 * (G.n + 1) ** 2 * 8

@@ -115,3 +115,21 @@ def test_a_prefix_off_the_snapshot_grid_is_an_error(monkeypatch):
     assert error is None
     assert runs[0][4].times[-1] == pytest.approx(0.3)
     assert len(failed) == 1
+
+
+def test_gauge_fails_with_the_halving_when_only_the_shifted_run_halves(monkeypatch):
+    failed = []
+
+    def once(spec, state, calls):
+        if spec.V.max() > 0.0 and state.t >= 0.0305 and not failed:
+            failed.append(state.t)
+            return True
+        return False
+
+    fail_steps(monkeypatch, once)
+    check = verify.check_gauge()
+    # the halving leaves the shifted snapshots at other times than the
+    # unshifted ones, so no snapshot pair can be compared
+    assert len(failed) == 1
+    assert check["passed"] is False and check["worst"] == np.inf
+    assert check["detail"] == f"two_node: halvings [] unshifted, {[(failed[0], 5e-4)]} shifted"

@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import verify as verify_mod
+from .config import as_is, floats, integer, number, read_json, read_kind, read_section
 from .energy import PotentialSpec, potentials_from_dict
 from .errors import ConfigError, GraphNLSError, MaxIterations
 from .dynamics import (
@@ -29,7 +29,7 @@ from .dynamics import (
     plane_wave_residual,
     simulate,
 )
-from .graph import Graph, build_graph, build_path_lattice, build_torus, load_graph_json
+from .graph import GRAPH_KEYS, Graph, build_graph, build_path_lattice, build_torus, load_graph_json
 from .ground_state import KKT_TOL, _kkt, eigen_residual, ground_gradient, solve_ground_state
 from .io import trajectory_summary, write_csv, write_json, write_trajectory_csv
 from .stability import (
@@ -45,31 +45,6 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 
-def _as_is(value):
-    return value
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _read_section(data, where, keys, required=()) -> dict:
-    """The entries of the object ``data``, each converted by ``keys[key]``.
-
-    Unknown and missing keys are config errors.  A key the config leaves
-    out is left out here too, so the library's default applies.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f'"{where}" must be an object')
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = set(required) - set(data)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-    return {key: keys[key](value) for key, value in data.items()}
-
-
 def _pick(data, *keys) -> dict:
     """The entries of ``data`` under ``keys`` that the config gave."""
     return {key: data[key] for key in keys if key in data}
@@ -77,35 +52,27 @@ def _pick(data, *keys) -> dict:
 
 @contextlib.contextmanager
 def _reading_config(command):
-    """Report a config value that int(), float(), numpy or json rejects as a ConfigError."""
+    """Report a config value that a builder, a dataclass or numpy rejects as a ConfigError."""
     try:
         yield
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {command} config: {exc}") from exc
 
 
-def _read_json(path, what):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def load_config(path, command, keys, required=()) -> dict:
-    """The config of ``command``, its ``keys`` read by ``_read_section``.
+    """The config of ``command``, its ``keys`` read by ``read_section``.
 
     Every config declares "schema": 1 and may name its command and a seed.
     """
-    data = _read_json(path, "config")
+    data = read_json(path, "config")
     if not isinstance(data, dict) or data.get("schema") != 1:
         raise ConfigError('config must be a JSON object declaring "schema": 1')
     if data.get("command", command) != command:
         raise ConfigError(
             f"config is for command {data['command']!r}, invoked as {command!r}"
         )
-    keys = {"schema": _as_is, "command": _as_is, "seed": int, **keys}
-    return _read_section(data, "config", keys, required)
+    keys = {"schema": integer, "command": as_is, "seed": integer, **keys}
+    return read_section(data, "config", keys, required)
 
 
 _FILE = {"file": os.fspath}
@@ -115,30 +82,21 @@ def _inline(data, where):
     """A section given inline, or the JSON object in the file {"file": path} names."""
     if isinstance(data, dict) and "file" not in data:
         return data
-    return _read_json(_read_section(data, where, _FILE, _FILE)["file"], where)
-
-
-def _edges(edges) -> list:
-    """1-based [j, l, w] triples as build_graph's 0-based (j, l, w)."""
-    return [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in edges]
+    return read_json(read_section(data, where, _FILE, _FILE)["file"], where)
 
 
 # builder: (function, {key: converter}, required keys)
 _GRAPHS = {
-    "explicit": (
-        lambda n, edges, **coords: build_graph(n, edges, **coords),
-        {"n": int, "edges": _edges, "coords": _floats},
-        {"n", "edges"},
-    ),
+    "explicit": (build_graph, *GRAPH_KEYS),
     "path": (
         build_path_lattice,
-        {"n": int, "x_min": float, "x_max": float, "weight_mode": str, "weight": float},
+        {"n": integer, "x_min": number, "x_max": number, "weight_mode": str, "weight": number},
         {"n", "x_min", "x_max"},
     ),
     "torus": (
         build_torus,
-        {"dims": lambda dims: [int(d) for d in dims], "delta_x": float,
-         "weight_mode": str, "weight": float},
+        {"dims": lambda dims: [integer(d) for d in dims], "delta_x": number,
+         "weight_mode": str, "weight": number},
         {"dims"},
     ),
 }
@@ -147,22 +105,13 @@ _GRAPHS = {
 def _graph(data) -> Graph:
     """The graph section: a builder and its keys, or {"file": path} in the on-disk format."""
     if not isinstance(data, dict) or "file" in data:
-        path = _read_section(data, "graph", _FILE, _FILE)["file"]
-        try:
-            return load_graph_json(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read graph {path}: {exc}") from exc
-    if data.get("builder") not in _GRAPHS:
-        raise ConfigError(f"unknown graph builder {data.get('builder')!r}")
-    build, keys, required = _GRAPHS[data["builder"]]
-    kwargs = _read_section(data, "graph", {"builder": _as_is, **keys}, required)
-    del kwargs["builder"]
-    return build(**kwargs)
+        return load_graph_json(read_section(data, "graph", _FILE, _FILE)["file"])
+    return read_kind(data, "graph", _GRAPHS, "builder")
 
 
 def _potentials(data, G: Graph, required=("V", "W", "h")) -> PotentialSpec:
-    keys = {"V": _as_is, "W": _as_is, "h": float}
-    pdata = _read_section(_inline(data, "potentials"), "potentials", keys, required)
+    pdata = read_section(_inline(data, "potentials"), "potentials",
+                         dict.fromkeys(("V", "W", "h"), as_is), required)
     return potentials_from_dict(pdata, n=G.n, coords=G.coords)
 
 
@@ -170,11 +119,11 @@ def _initial_state(data, G: Graph, h: float) -> SystemState:
     """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}."""
     data = _inline(data, "initial")
     if "rho" in data or "S" in data:
-        keys = {"rho": _floats, "S": _floats}
-        state = SystemState(**_read_section(data, "initial", keys, keys))
+        keys = {"rho": floats, "S": floats}
+        state = SystemState(**read_section(data, "initial", keys, keys))
     else:
-        keys = {"psi_re": _floats, "psi_im": _floats}
-        psi = _read_section(data, "initial", keys, keys)
+        keys = {"psi_re": floats, "psi_im": floats}
+        psi = read_section(data, "initial", keys, keys)
         state = from_wave(psi["psi_re"] + 1j * psi["psi_im"], h)
     if state.rho.shape != (G.n,) or state.S.shape != (G.n,):
         raise ConfigError(
@@ -185,19 +134,19 @@ def _initial_state(data, G: Graph, h: float) -> SystemState:
     return state
 
 
-_INTEGRATOR = {"method": str, "dt": float, "T": float, "newton_tol": float,
-               "newton_max_iter": int, "output_every": int}
+_INTEGRATOR = {"method": str, "dt": number, "T": number, "newton_tol": number,
+               "newton_max_iter": integer, "output_every": integer}
 
 
 def cmd_simulate(cfg_path, out_dir, seed) -> int:
     sections = ("graph", "potentials", "initial", "integrator")
     with _reading_config("simulate"):
-        data = load_config(cfg_path, "simulate", dict.fromkeys(sections, _as_is), sections)
+        data = load_config(cfg_path, "simulate", dict.fromkeys(sections, as_is), sections)
         G = _graph(data["graph"])
         spec = _potentials(data["potentials"], G)
         state = _initial_state(data["initial"], G, spec.h)
         icfg = IntegratorConfig(
-            **_read_section(data["integrator"], "integrator", _INTEGRATOR, {"dt", "T"})
+            **read_section(data["integrator"], "integrator", _INTEGRATOR, {"dt", "T"})
         )
     traj = simulate(G, spec, state, icfg)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -216,12 +165,12 @@ def cmd_simulate(cfg_path, out_dir, seed) -> int:
 def _h_values(values) -> list:
     if not isinstance(values, list) or not values:
         raise ConfigError('"h_values" must be a non-empty list')
-    return [float(h) for h in values]
+    return [number(h) for h in values]
 
 
 def cmd_ground_state(cfg_path, out_dir, seed) -> int:
-    keys = {"graph": _as_is, "potentials": _as_is, "h_values": _h_values,
-            "tol": float, "max_iter": int, "init": _floats}
+    keys = {"graph": as_is, "potentials": as_is, "h_values": _h_values,
+            "tol": number, "max_iter": integer, "init": floats}
     with _reading_config("ground-state"):
         data = load_config(cfg_path, "ground-state", keys, {"graph", "potentials"})
         G = _graph(data["graph"])
@@ -265,15 +214,11 @@ def cmd_ground_state(cfg_path, out_dir, seed) -> int:
 
 
 def _density(value):
-    if value in ("uniform", "solve"):
-        return value
-    if not isinstance(value, list):
-        raise ConfigError('"rho_g" must be "uniform", "solve" or a density list')
-    return _floats(value)
+    return value if value in ("uniform", "solve") else floats(value)
 
 
 def cmd_stability(cfg_path, out_dir, seed) -> int:
-    keys = {"graph": _as_is, "potentials": _as_is, "rho_g": _density, "tol": float}
+    keys = {"graph": as_is, "potentials": as_is, "rho_g": _density, "tol": number}
     with _reading_config("stability"):
         data = load_config(cfg_path, "stability", keys, {"graph", "potentials"})
         G = _graph(data["graph"])
@@ -333,11 +278,11 @@ def cmd_stability(cfg_path, out_dir, seed) -> int:
 
 
 def _modes(modes):
-    return None if modes == "all" else np.asarray(modes, dtype=int)
+    return None if modes == "all" else np.array([[integer(k) for k in m] for m in modes])
 
 
 def cmd_dispersion(cfg_path, out_dir, seed) -> int:
-    keys = {"graph": _as_is, "h": float, "modes": _modes}
+    keys = {"graph": as_is, "h": number, "modes": _modes}
     with _reading_config("dispersion"):
         data = load_config(cfg_path, "dispersion", keys, {"graph"})
         G = _graph(data["graph"])
@@ -377,7 +322,7 @@ def _suite_names(names) -> list:
 
 
 def _tolerances(tolerances) -> dict:
-    return _read_section(tolerances, "tolerances", dict.fromkeys(verify_mod.SUITES, float))
+    return read_section(tolerances, "tolerances", dict.fromkeys(verify_mod.SUITES, number))
 
 
 def cmd_verify(cfg_path, out_dir, seed) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_is, floats, number, read_kind, read_section
 from .errors import ConfigError, NonInteriorDensity, ZeroModulus
 from .graph import Graph, dense, edge_means, grad
 
@@ -267,57 +268,58 @@ def wave_energy_components(G: Graph, spec: PotentialSpec, psi):
     return e_kin, e_pot, e_int, spec.h**2 * e_kin + e_pot + e_int
 
 
-def _linear_potential(V_spec, n, coords) -> np.ndarray:
-    if not isinstance(V_spec, dict):
-        V = np.asarray(V_spec, dtype=float)
-        if V.ndim != 1 or (n is not None and len(V) != n):
-            raise ConfigError(f"V must list one number per node, got shape {V.shape}")
-        return V
-    kind = V_spec.get("kind")
-    if kind in ("zero", "constant") and n is None:
-        raise ConfigError(f"{kind} potential needs a known node count")
-    if kind == "zero":
-        return np.zeros(n)
-    if kind == "constant":
-        return np.full(n, float(V_spec["value"]))
-    if kind == "harmonic":
-        if coords is None:
-            raise ConfigError("harmonic potential needs node coordinates")
-        c = float(V_spec.get("coefficient", 0.5))
-        return c * np.sum(np.atleast_2d(coords) ** 2, axis=1)
-    raise ConfigError(f"unknown V kind {kind!r}")
+def _constant(n, coords, value=0.0):
+    if n is None:
+        raise ConfigError("a zero or constant V needs a known node count")
+    return np.full(n, value)
 
 
-def _interaction(W_spec, n) -> np.ndarray:
-    """W as PotentialSpec stores it: kinds zero and diagonal as their diagonal."""
-    if isinstance(W_spec, dict):
-        kind = W_spec.get("kind")
-        if kind == "zero":
-            return np.zeros(n)
-        if kind == "diagonal":
-            return np.full(n, float(W_spec["alpha"]))
-        if kind != "dense":
-            raise ConfigError(f"unknown W kind {kind!r}")
-        W_spec = W_spec["matrix"]
-    W = np.asarray(W_spec, dtype=float)
-    if W.shape != (n, n):
-        raise ConfigError(f"W must be an n x n matrix with n = {n}, got shape {W.shape}")
-    return W
+def _harmonic(n, coords, coefficient=0.5):
+    if coords is None:
+        raise ConfigError("harmonic potential needs node coordinates")
+    return coefficient * np.sum(np.atleast_2d(coords) ** 2, axis=1)
+
+
+def _dense(n, matrix):
+    matrix = floats(matrix)
+    if matrix.shape != (n, n):
+        raise ConfigError(f"W must be an n x n matrix with n = {n}, got shape {matrix.shape}")
+    return matrix
+
+
+# kind: (build(n, coords) for V and build(n) for W, {key: converter}, required
+# keys); PotentialSpec stores a zero or diagonal W as its diagonal
+_V_KINDS = {
+    "zero": (_constant, {}, ()),
+    "constant": (_constant, {"value": number}, {"value"}),
+    "harmonic": (_harmonic, {"coefficient": number}, ()),
+}
+_W_KINDS = {
+    "zero": (np.zeros, {}, ()),
+    "diagonal": (lambda n, alpha: np.full(n, alpha), {"alpha": number}, {"alpha"}),
+    "dense": (_dense, {"matrix": as_is}, {"matrix"}),
+}
+
+
+def _linear_potential(V, n, coords) -> np.ndarray:
+    if isinstance(V, dict):
+        return read_kind(V, "V", _V_KINDS, "kind", n, coords)
+    V = floats(V)
+    if V.ndim != 1 or (n is not None and len(V) != n):
+        raise ConfigError(f"V must list one number per node, got shape {V.shape}")
+    return V
 
 
 def potentials_from_dict(data, n=None, coords=None) -> PotentialSpec:
-    """Potentials from their JSON object.
+    """Potentials from their JSON object, read by the rules of a CLI config.
 
     {"V": [...], "W": {"kind": "zero"|"diagonal"|"dense", ...}, "h": real}
     V may also be {"kind": "zero"|"constant"|"harmonic", ...}; harmonic
     needs the node coordinates ``coords``.  With the node count ``n``
-    given, a listed V must have n entries.  Missing or non-numeric entries
-    are a ConfigError.
+    given, a listed V must have n entries.  A missing, unknown or
+    non-numeric entry is a ConfigError.
     """
-    try:
-        V = _linear_potential(data["V"], n, coords)
-        W = _interaction(data["W"], len(V))
-        h = float(data.get("h", 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed potentials: {exc}") from exc
-    return PotentialSpec(V, W, h)
+    p = read_section(data, "potentials", {"V": as_is, "W": as_is, "h": number}, {"V", "W"})
+    V, W = _linear_potential(p["V"], n, coords), p["W"]
+    W = read_kind(W, "W", _W_KINDS, "kind", len(V)) if isinstance(W, dict) else _dense(len(V), W)
+    return PotentialSpec(V, W, p.get("h", 1.0))

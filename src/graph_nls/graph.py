@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import floats, integer, number, read_json, read_section
 from .errors import (
     ConfigError,
     DisconnectedGraph,
@@ -128,13 +129,13 @@ def _check_connected(n, ej, el):
     return bool(seen.all())
 
 
-def build_graph(n, weighted_edges, coords=None, **meta) -> Graph:
+def build_graph(n, edges, coords=None, **meta) -> Graph:
     """Validate and build a graph from ``(j, l, weight)`` triples (0-based)."""
     if n < 1:
         raise ConfigError("node count must be positive")
     ej, el, w = [], [], []
     seen = set()
-    for j, l, weight in weighted_edges:
+    for j, l, weight in edges:
         j, l = int(j), int(l)
         if j == l:
             raise SelfLoop(f"self loop at node {j}")
@@ -249,26 +250,24 @@ def inner_product(G: Graph, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> fl
     return float(np.sum(v * u * edge_means(G, rho)))
 
 
+def _edges(edges) -> list:
+    """1-based [j, l, w] triples as build_graph's 0-based (j, l, w)."""
+    return [(integer(j) - 1, integer(l) - 1, number(w)) for j, l, w in edges]
+
+
+# the keys of a graph file and of the explicit builder: ({key: converter}, required)
+GRAPH_KEYS = ({"n": integer, "edges": _edges, "coords": floats}, {"n", "edges"})
+
+
 def load_graph_json(path) -> Graph:
     """Read the on-disk graph format (1-based node indices).
 
     The file is a JSON object with the keys ``n``, ``edges`` and optionally
-    ``coords``; any other key is a ConfigError.
+    ``coords``; any other key, a missing file or malformed JSON is a
+    ConfigError.
     """
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ConfigError(f"graph file {path} must hold a JSON object")
-    unknown = set(data) - {"n", "edges", "coords"}
-    if unknown:
-        raise ConfigError(f"unknown keys in graph file {path}: {sorted(unknown)}")
-    try:
-        n = int(data["n"])
-        edges = [(int(j) - 1, int(l) - 1, float(w)) for j, l, w in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed graph file {path}: {exc}") from exc
-    coords = data.get("coords")
-    return build_graph(n, edges, coords=coords)
+    data = read_json(path, "graph")
+    return build_graph(**read_section(data, f"graph file {path}", *GRAPH_KEYS))
 
 
 def save_graph_json(G: Graph, path) -> None:

@@ -83,11 +83,11 @@ def _sort_complex(vals):
     return vals[order]
 
 
-def _classify(vals, stable_tol=STABLE_RE_TOL, unstable_tol=UNSTABLE_RE_TOL):
+def _classify(vals):
     re_max = float(np.abs(vals.real).max()) if len(vals) else 0.0
-    if re_max <= stable_tol:
+    if re_max <= STABLE_RE_TOL:
         return "spectrally_stable"
-    if float(vals.real.max()) > unstable_tol:
+    if float(vals.real.max()) > UNSTABLE_RE_TOL:
         return "unstable"
     return "marginal"
 
@@ -98,8 +98,7 @@ def _pairs(mu):
     return _sort_complex(np.concatenate([1j * root, -1j * root]))
 
 
-def spectrum(H: HamiltonianMatrix, stable_tol=STABLE_RE_TOL,
-             unstable_tol=UNSTABLE_RE_TOL) -> SpectrumReport:
+def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
     """Spectrum of H by the symmetric reduction, plus its classification.
 
     R = U_+ diag(sqrt(l_+)) takes the cached eigenpairs of L(rho_g) without
@@ -117,7 +116,7 @@ def spectrum(H: HamiltonianMatrix, stable_tol=STABLE_RE_TOL,
     vals = _pairs(np.concatenate([[0.0], mu]))
     return SpectrumReport(
         eigenvalues=vals,
-        classification=_classify(vals, stable_tol, unstable_tol),
+        classification=_classify(vals),
     )
 
 
@@ -140,9 +139,7 @@ def spectrum_mismatch(a, b) -> float:
     return worst
 
 
-def gpe_spectrum_closed_form(
-    G: Graph, alpha: float, h: float, bifurcation_tol: float = BIFURCATION_TOL
-) -> SpectrumReport:
+def gpe_spectrum_closed_form(G: Graph, alpha: float, h: float) -> SpectrumReport:
     """Closed-form spectrum at the uniform state for V=0, W=alpha I.
 
     Per Laplacian mode lambda_k the pair +-i sqrt(lambda_k^2 h^2 / 4 +
@@ -159,7 +156,7 @@ def gpe_spectrum_closed_form(
     bifurcation = [
         k + 1
         for k in range(n)
-        if lam[k] > 1e-12 and abs(alpha + 0.25 * n * lam[k] * h**2) <= bifurcation_tol
+        if lam[k] > 1e-12 and abs(alpha + 0.25 * n * lam[k] * h**2) <= BIFURCATION_TOL
     ]
     return SpectrumReport(
         eigenvalues=vals,

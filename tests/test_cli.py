@@ -385,12 +385,65 @@ def dispersion_config(**overrides):
         ("simulate", simulate_config(potentials={"V": [0.0, 0.0], "W": [1.0, 1.0], "h": 1.0})),
         ("simulate", simulate_config(
             potentials={"V": [0.0, 0.0], "W": {"kind": "dense", "matrix": [1.0, 1.0]}, "h": 1.0})),
+        # numbers are JSON numbers and counts are integers
+        ("simulate", simulate_config(integrator={"dt": "0.001", "T": 0.5})),
+        ("simulate", simulate_config(integrator={"dt": 1e-3, "T": True})),
+        ("simulate", simulate_config(integrator={"dt": 1e-3, "T": 0.5, "output_every": 150.7})),
+        ("simulate", simulate_config(
+            integrator={"dt": 1e-3, "T": 0.5, "newton_max_iter": 20.0})),
+        ("simulate", simulate_config(
+            potentials={"V": [0.0, 0.0], "W": {"kind": "zero"}, "h": "1"})),
+        ("simulate", simulate_config(
+            potentials={"V": [0.0, "0"], "W": {"kind": "zero"}, "h": 1.0})),
+        ("simulate", simulate_config(initial={"rho": [0.6, 0.4], "S": [True, False]})),
+        ("simulate", simulate_config(
+            graph={"builder": "explicit", "n": 2, "edges": [[1.9, 2.2, 1.0]]})),
+        ("simulate", simulate_config(
+            graph={"builder": "explicit", "n": 2.0, "edges": [[1, 2, 1.0]]})),
+        ("simulate", simulate_config(
+            graph={"builder": "explicit", "n": 2, "edges": [[1, 2, "1"]]})),
+        ("simulate", simulate_config(seed=1.5)),
+        ("stability", stability_config(
+            graph={"builder": "path", "n": 3.5, "x_min": -1.0, "x_max": 1.0})),
+        ("stability", stability_config(
+            graph={"builder": "path", "n": 3, "x_min": "-1", "x_max": 1.0})),
+        ("ground-state", ground_state_config(max_iter=100.5)),
+        ("ground-state", ground_state_config(h_values=[1.0, "0.5"])),
+        ("ground-state", ground_state_config(tol=True)),
+        ("dispersion", dispersion_config(graph={"builder": "torus", "dims": [8.0]})),
+        ("dispersion", dispersion_config(modes=[[1.5]])),
+        ("verify", {"schema": 1, "command": "verify", "seed": "7", "suites": ["hodge"]}),
+        # unknown keys inside V and W kind objects
+        ("stability", stability_config(
+            potentials={"V": {"kind": "zero", "value": 1.0}, "W": {"kind": "zero"}, "h": 1.0})),
+        ("stability", stability_config(
+            potentials={"V": [0.0] * 3, "W": {"kind": "diagonal", "alpha": 1.0, "beta": 2.0},
+                        "h": 1.0})),
+        ("stability", stability_config(
+            potentials={"V": [0.0] * 3, "W": {"kind": "zero", "alpha": 1.0}, "h": 1.0})),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):
     path = write_config(tmp_path, "c.json", config)
     assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_misspelt_potential_key_is_a_config_error_naming_it(tmp_path, capsys):
+    potentials = {"V": {"kind": "harmonic", "coefficent": 3.0}, "W": {"kind": "zero"}}
+    path = write_config(tmp_path, "c.json", ground_state_config(potentials=potentials))
+    assert run(["ground-state", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "coefficent" in err
+    assert not (tmp_path / "out" / "ground_state.json").exists()
+
+
+def test_graph_file_rejects_non_integral_endpoints(tmp_path, capsys):
+    gfile = tmp_path / "graph.json"
+    gfile.write_text(json.dumps({"n": 2, "edges": [[1.9, 2.2, 1.0]]}))
+    path = write_config(tmp_path, "c.json", simulate_config(graph={"file": str(gfile)}))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_graph_file_rejects_unknown_keys(tmp_path, capsys):

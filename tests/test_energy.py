@@ -244,6 +244,33 @@ def test_potentials_from_dict_kinds():
     assert spec.h == 0.5
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"V": [0.0] * 3, "W": {"kind": "zero"}, "h": 1.0, "typo": 5}, "typo"),
+        ({"V": {"kind": "harmonic", "coefficent": 3.0}, "W": {"kind": "zero"}}, "coefficent"),
+        ({"V": {"kind": "constant", "value": 1.0, "alpha": 2.0}, "W": {"kind": "zero"}},
+         "alpha"),
+        ({"V": [0.0] * 3, "W": {"kind": "diagonal", "alpha": 1.0, "beta": 2.0}}, "beta"),
+        ({"V": [0.0] * 3, "W": {"kind": "dense", "matrix": np.eye(3).tolist(), "alpha": 1.0}},
+         "alpha"),
+        ({"V": [0.0] * 3, "W": {"kind": "zero"}, "h": "1"}, "h"),
+        ({"V": [0.0] * 3, "W": {"kind": "diagonal", "alpha": True}}, "alpha"),
+        ({"V": {"kind": "constant", "value": "2"}, "W": {"kind": "zero"}}, "value"),
+    ],
+)
+def test_potentials_from_dict_applies_the_config_rules(data, key):
+    coords = np.arange(3.0)
+    with pytest.raises(ConfigError, match=key):
+        potentials_from_dict(data, n=3, coords=coords)
+
+
+@pytest.mark.parametrize("V", [[0.0, "1", 0.0], [True, False, True]])
+def test_potentials_from_dict_rejects_a_V_list_of_non_numbers(V):
+    with pytest.raises(ConfigError):
+        potentials_from_dict({"V": V, "W": {"kind": "zero"}}, n=3)
+
+
 def test_potential_spec_rejects_asymmetric_W():
     W = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):

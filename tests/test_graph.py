@@ -201,6 +201,20 @@ def test_graph_json_rejects_unknown_keys(tmp_path):
         load_graph_json(p)
 
 
+def test_graph_json_missing_or_malformed_file_is_a_config_error(tmp_path):
+    p = tmp_path / "g.json"
+    with pytest.raises(ConfigError, match="cannot read graph"):
+        load_graph_json(p)
+    p.write_text("{not json")
+    with pytest.raises(ConfigError, match="cannot read graph"):
+        load_graph_json(p)
+    for data in ({"n": 2, "edges": [[1.9, 2.2, 1.0]]}, {"n": "2", "edges": [[1, 2, 1.0]]},
+                 {"n": 2, "edges": [[1, 2]]}, {"n": 2, "edges": 5}):
+        p.write_text(json.dumps(data))
+        with pytest.raises(ConfigError):
+            load_graph_json(p)
+
+
 def test_graph_json_round_trip(tmp_path, rng):
     G = random_connected_graph(rng)
     p = tmp_path / "g.json"

@@ -57,6 +57,7 @@ from .dynamics import (
     plane_wave_residual,
     rhs,
     rhs_jacobian,
+    schrodinger_operator,
     simulate,
     step,
     to_wave,

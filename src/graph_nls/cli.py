@@ -4,8 +4,8 @@ Subcommands: simulate, ground-state, stability, dispersion, verify.  Each
 takes a JSON config (strictly validated: "schema": 1 required, unknown
 keys rejected) and writes its artifacts into --out.
 
-Exit codes: 0 success, 1 config or I/O problem, 2 solver failure (partial
-output is kept), 3 a verify property suite failed.
+Exit codes: 0 success, 1 usage, config or I/O problem, 2 solver failure
+(partial output is kept), 3 a verify property suite failed.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _reading_config(command):
 def load_config(path, command, keys, required=()) -> dict:
     """The config of ``command``, its ``keys`` read by ``read_section``.
 
-    Every config declares "schema": 1 and may name its command and a seed.
+    Every config declares "schema": 1 and may name its command.
     """
     data = read_json(path, "config")
     if not isinstance(data, dict) or data.get("schema") != 1:
@@ -71,7 +71,7 @@ def load_config(path, command, keys, required=()) -> dict:
         raise ConfigError(
             f"config is for command {data['command']!r}, invoked as {command!r}"
         )
-    keys = {"schema": integer, "command": as_is, "seed": integer, **keys}
+    keys = {"schema": integer, "command": as_is, **keys}
     return read_section(data, "config", keys, required)
 
 
@@ -109,10 +109,16 @@ def _graph(data) -> Graph:
     return read_kind(data, "graph", _GRAPHS, "builder")
 
 
-def _potentials(data, G: Graph, required=("V", "W", "h")) -> PotentialSpec:
+def _potentials(data, G: Graph, h_values=None) -> PotentialSpec:
+    """The potentials section; next to ``h_values`` its "h" is optional and one of them."""
     pdata = read_section(_inline(data, "potentials"), "potentials",
-                         dict.fromkeys(("V", "W", "h"), as_is), required)
-    return potentials_from_dict(pdata, n=G.n, coords=G.coords)
+                         dict.fromkeys(("V", "W", "h"), as_is),
+                         ("V", "W") if h_values else ("V", "W", "h"))
+    spec = potentials_from_dict(pdata, n=G.n, coords=G.coords)
+    # an h that the sweep leaves out would be dropped without a word
+    if h_values and "h" in pdata and spec.h not in h_values:
+        raise ConfigError(f'potentials "h" {spec.h:g} is not one of "h_values" {h_values}')
+    return spec
 
 
 def _initial_state(data, G: Graph, h: float) -> SystemState:
@@ -138,7 +144,7 @@ _INTEGRATOR = {"method": str, "dt": number, "T": number, "newton_tol": number,
                "newton_max_iter": integer, "output_every": integer}
 
 
-def cmd_simulate(cfg_path, out_dir, seed) -> int:
+def cmd_simulate(cfg_path, out_dir) -> int:
     sections = ("graph", "potentials", "initial", "integrator")
     with _reading_config("simulate"):
         data = load_config(cfg_path, "simulate", dict.fromkeys(sections, as_is), sections)
@@ -168,15 +174,13 @@ def _h_values(values) -> list:
     return [number(h) for h in values]
 
 
-def cmd_ground_state(cfg_path, out_dir, seed) -> int:
+def cmd_ground_state(cfg_path, out_dir) -> int:
     keys = {"graph": as_is, "potentials": as_is, "h_values": _h_values,
             "tol": number, "max_iter": integer, "init": floats}
     with _reading_config("ground-state"):
         data = load_config(cfg_path, "ground-state", keys, {"graph", "potentials"})
         G = _graph(data["graph"])
-        # the one h comes from the potentials when there is no "h_values"
-        required = ("V", "W") if "h_values" in data else ("V", "W", "h")
-        base = _potentials(data["potentials"], G, required)
+        base = _potentials(data["potentials"], G, data.get("h_values"))
         # every h is checked before the first solve writes an artifact
         specs = [dataclasses.replace(base, h=h) for h in data.get("h_values", [base.h])]
     options = _pick(data, "tol", "max_iter", "init")
@@ -217,7 +221,7 @@ def _density(value):
     return value if value in ("uniform", "solve") else floats(value)
 
 
-def cmd_stability(cfg_path, out_dir, seed) -> int:
+def cmd_stability(cfg_path, out_dir) -> int:
     keys = {"graph": as_is, "potentials": as_is, "rho_g": _density, "tol": number}
     with _reading_config("stability"):
         data = load_config(cfg_path, "stability", keys, {"graph", "potentials"})
@@ -281,8 +285,8 @@ def _modes(modes):
     return None if modes == "all" else np.array([[integer(k) for k in m] for m in modes])
 
 
-def cmd_dispersion(cfg_path, out_dir, seed) -> int:
-    keys = {"graph": as_is, "h": number, "modes": _modes}
+def cmd_dispersion(cfg_path, out_dir) -> int:
+    keys = {"graph": as_is, "modes": _modes}
     with _reading_config("dispersion"):
         data = load_config(cfg_path, "dispersion", keys, {"graph"})
         G = _graph(data["graph"])
@@ -299,7 +303,7 @@ def cmd_dispersion(cfg_path, out_dir, seed) -> int:
     worst = 0.0
     for m in mode_list:
         k = 2.0 * np.pi * m / (np.asarray(dims) * G.delta_x)
-        resid = plane_wave_residual(G, k, **_pick(data, "h"))
+        resid = plane_wave_residual(G, k)
         worst = max(worst, resid)
         rows.append([*m, *k, 0.5 * float(k @ k), resid])
     header = (
@@ -329,7 +333,7 @@ def cmd_verify(cfg_path, out_dir, seed) -> int:
     data = {}
     if cfg_path is not None:
         with _reading_config("verify"):
-            keys = {"suites": _suite_names, "tolerances": _tolerances}
+            keys = {"seed": integer, "suites": _suite_names, "tolerances": _tolerances}
             data = load_config(cfg_path, "verify", keys)
     if seed is not None:
         data["seed"] = seed
@@ -344,8 +348,16 @@ def cmd_verify(cfg_path, out_dir, seed) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, the code of a config error; --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graph-nls",
         description="Hamiltonian Schrodinger dynamics on weighted graphs",
     )
@@ -362,15 +374,15 @@ def main(argv=None) -> int:
         p.add_argument(
             "--config",
             required=(name != "verify"),
-            default=None,
             help="JSON config file",
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
+    sub.choices["verify"].add_argument("--seed", type=int, help="RNG seed of the suites")
     args = parser.parse_args(argv)
+    seed = {"seed": args.seed} if args.command == "verify" else {}
     try:
         os.makedirs(args.out, exist_ok=True)
-        return commands[args.command](args.config, args.out, args.seed)
+        return commands[args.command](args.config, args.out, **seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

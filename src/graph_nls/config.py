@@ -37,7 +37,10 @@ def floats(value) -> np.ndarray:
         array = np.asarray(value)
     except ValueError as exc:  # a ragged list
         raise ConfigError(f"expected an array of numbers: {exc}") from exc
-    if array.dtype.kind not in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1, so each entry is looked at
+    if array.dtype.kind not in "iuf" or (
+        isinstance(value, list) and bool in map(type, np.asarray(value, dtype=object).flat)
+    ):
         raise ConfigError(f"expected numbers, got {value!r:.60}")
     return array.astype(float, copy=False)
 

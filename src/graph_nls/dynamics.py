@@ -36,6 +36,7 @@ from .energy import (
     energy_terms,
     fisher_gradient,  # noqa: F401  bench/tests checks that the tracer wraps it here
     hamiltonian,
+    interaction_times,
     static_gradient,
     static_hessian_entries,
     wave_edge_field,
@@ -53,6 +54,7 @@ __all__ = [
     "to_wave",
     "from_wave",
     "graph_laplacian_wave",
+    "schrodinger_operator",
     "plane_wave_residual",
 ]
 
@@ -480,7 +482,13 @@ def graph_laplacian_wave(G: Graph, psi, h: float = 1.0) -> np.ndarray:
     return _laplacian_from_edge_dlog(G, psi, rho, dlog)
 
 
-def plane_wave_residual(G: Graph, k, A=None, h: float = 1.0) -> float:
+def schrodinger_operator(G: Graph, spec: PotentialSpec, psi) -> np.ndarray:
+    """H(Psi) = -h^2/2 Lap_G Psi + (V + W |Psi|^2) Psi, the wave form i h dPsi/dt."""
+    return (-spec.h**2 / 2.0 * graph_laplacian_wave(G, psi, spec.h)
+            + (spec.V + interaction_times(spec, np.abs(psi) ** 2)) * psi)
+
+
+def plane_wave_residual(G: Graph, k) -> float:
     """Sup-norm residual of i dPsi/dt = -1/2 Lap_G Psi for a plane wave.
 
     ``k`` is the wave vector (one entry per torus dimension) and must be
@@ -501,9 +509,7 @@ def plane_wave_residual(G: Graph, k, A=None, h: float = 1.0) -> float:
             raise IncommensurateWaveNumber(
                 f"k={ki:g} spans {cycles:g} periods around a side of {di} nodes"
             )
-    if A is None:
-        A = 1.0 / np.sqrt(G.n)
-    psi = A * np.exp(1j * (G.coords @ k))
+    psi = 1.0 / np.sqrt(G.n) * np.exp(1j * (G.coords @ k))
     rho = np.abs(psi) ** 2
     # minimal displacement across each edge (wrap edges move by -dx, not
     # +(side - dx)), giving the unambiguous phase difference k . disp

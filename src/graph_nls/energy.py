@@ -29,6 +29,7 @@ __all__ = [
     "fisher_hessian_entries",
     "potential_energy",
     "interaction_energy",
+    "interaction_times",
     "static_gradient",
     "static_hessian",
     "static_hessian_entries",
@@ -169,7 +170,7 @@ def potential_energy(spec: PotentialSpec, rho) -> float:
     return float(spec.V @ rho)
 
 
-def _interaction_times(spec: PotentialSpec, x) -> np.ndarray:
+def interaction_times(spec: PotentialSpec, x) -> np.ndarray:
     """W x, in O(n) for a diagonal W."""
     w = spec.interaction
     return w * x if w.ndim == 1 else w @ x
@@ -179,17 +180,12 @@ def interaction_energy(spec: PotentialSpec, rho) -> float:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (spec.n,):
         raise ConfigError("density/potential shape mismatch")
-    return 0.5 * float(rho @ _interaction_times(spec, rho))
+    return 0.5 * float(rho @ interaction_times(spec, rho))
 
 
-def static_gradient(G: Graph, spec: PotentialSpec, rho, fisher: bool = True) -> np.ndarray:
-    """Gradient (h^2/8) grad I + V + W rho of the static energy (h^2/8) I + V + W.
-
-    ``fisher=False`` leaves out the Fisher term: V + W rho then multiplies
-    Psi in the wave form, where -h^2/2 Lap_G Psi carries that term.
-    """
-    grad = spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V if fisher else spec.V
-    return grad + _interaction_times(spec, rho)
+def static_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
+    """Gradient (h^2/8) grad I + V + W rho of the static energy (h^2/8) I + V + W."""
+    return spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V + interaction_times(spec, rho)
 
 
 def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):

@@ -5,19 +5,25 @@ class GraphNLSError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DisconnectedGraph(GraphNLSError):
+class ConfigError(GraphNLSError):
+    """Invalid run configuration or input file."""
+
+
+# a graph that breaks one of the four rules below is bad input, like any
+# other config value
+class DisconnectedGraph(ConfigError):
     pass
 
 
-class NonPositiveWeight(GraphNLSError):
+class NonPositiveWeight(ConfigError):
     pass
 
 
-class DuplicateEdge(GraphNLSError):
+class DuplicateEdge(ConfigError):
     pass
 
 
-class SelfLoop(GraphNLSError):
+class SelfLoop(ConfigError):
     pass
 
 
@@ -58,7 +64,3 @@ class MaxIterations(GraphNLSError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-class ConfigError(GraphNLSError):
-    """Invalid run configuration or input file."""

@@ -21,7 +21,7 @@ from .energy import (
     static_gradient,
     static_hessian_entries,
 )
-from .dynamics import graph_laplacian_wave
+from .dynamics import schrodinger_operator
 from .graph import Graph, dense
 
 __all__ = [
@@ -220,10 +220,6 @@ def solve_ground_state(
 
 
 def eigen_residual(G: Graph, spec: PotentialSpec, result: GroundStateResult) -> float:
-    """Sup-norm residual of the nonlinear eigenvalue problem at sqrt(rho_g)."""
+    """Sup-norm residual max|nu Psi - H(Psi)| of the eigenproblem at Psi = sqrt(rho_g)."""
     psi = np.sqrt(np.asarray(result.rho_g, dtype=float)).astype(complex)
-    rhs = (
-        -spec.h**2 / 2.0 * graph_laplacian_wave(G, psi, h=spec.h)
-        + psi * static_gradient(G, spec, np.abs(psi) ** 2, fisher=False)
-    )
-    return float(np.abs(result.nu * psi - rhs).max())
+    return float(np.abs(result.nu * psi - schrodinger_operator(G, spec, psi)).max())

@@ -1,12 +1,14 @@
 """File formats: trajectory CSV and result JSON.
 
 All floating point output uses 17 significant digits so values round-trip
-exactly.  Files are written to a temporary name and renamed into place.
+exactly; JSON is standard JSON, with null for a NaN or an infinity.  Files
+are written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -46,10 +48,29 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def write_json(path, data) -> None:
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _finite_or_null(obj.tolist())
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _dumps(data) -> str:
     # numpy arrays and scalars go through .tolist(); np.float64 is a float
     # subclass, so json writes it as it writes a float
-    text = json.dumps(data, indent=2, default=lambda obj: obj.tolist())
+    return json.dumps(data, indent=2, default=lambda obj: obj.tolist(), allow_nan=False)
+
+
+def write_json(path, data) -> None:
+    """Standard JSON: a NaN or an infinity is written as null."""
+    try:
+        text = _dumps(data)
+    except ValueError:  # a non-finite float
+        text = _dumps(_finite_or_null(data))
     atomic_write_text(path, text + "\n")
 
 

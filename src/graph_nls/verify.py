@@ -19,13 +19,12 @@ from .energy import (
     fisher_hessian,
     fisher_information,
     hamiltonian,
-    static_gradient,
 )
 from .dynamics import (
     IntegratorConfig,
     SystemState,
-    graph_laplacian_wave,
     rhs,
+    schrodinger_operator,
     simulate,
     to_wave,
 )
@@ -217,7 +216,7 @@ def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
 
 
 def check_wave_residual(seed: int = 0) -> dict:
-    """Chain-rule dPsi/dt solves the wave equation at sampled states."""
+    """Chain-rule dPsi/dt solves i h dPsi/dt = H(Psi) at sampled states."""
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _, G, spec, state in _battery(seed):
@@ -228,11 +227,7 @@ def check_wave_residual(seed: int = 0) -> dict:
             drho, dS = rhs(G, spec, st)
             psi = to_wave(st, spec.h)
             dpsi = (drho / (2.0 * rho) + 1j * dS / spec.h) * psi
-            resid = (
-                1j * spec.h * dpsi
-                + spec.h**2 / 2.0 * graph_laplacian_wave(G, psi, spec.h)
-                - static_gradient(G, spec, rho, fisher=False) * psi
-            )
+            resid = 1j * spec.h * dpsi - schrodinger_operator(G, spec, psi)
             worst = max(worst, np.abs(resid).max())
     return _report("wave_residual", worst, 1e-8)
 

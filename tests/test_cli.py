@@ -421,6 +421,16 @@ def dispersion_config(**overrides):
                         "h": 1.0})),
         ("stability", stability_config(
             potentials={"V": [0.0] * 3, "W": {"kind": "zero", "alpha": 1.0}, "h": 1.0})),
+        # a boolean among numbers is not read as 0 or 1
+        ("simulate", simulate_config(initial={"rho": [True, 0.5], "S": [0.0, 0.0]})),
+        ("stability", stability_config(
+            potentials={"V": [True, 0.0, 0.0], "W": {"kind": "zero"}, "h": 1.0})),
+        # settings that would change nothing: only verify has a seed, dispersion
+        # no h, and ground-state takes its h from "h_values" or the potentials
+        ("simulate", simulate_config(seed=3)),
+        ("dispersion", dispersion_config(h=1.0)),
+        ("ground-state", ground_state_config(
+            potentials={"V": {"kind": "harmonic"}, "W": {"kind": "zero"}, "h": 0.5})),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):
@@ -500,6 +510,48 @@ def test_malformed_config_prints_one_config_error_line(tmp_path, case):
     assert "Traceback" not in out.stderr
 
 
+def _exit_code(args):
+    """The exit code of the CLI, also when argparse exits."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "case, prefix",
+    [
+        (lambda path: ["simulate", "--config", path(simulate_config(
+            graph={"builder": "explicit", "n": 2, "edges": [[1, 1, 1.0]]}))], "config error:"),
+        (lambda path: ["stability", "--config", path(stability_config(
+            graph={"builder": "explicit", "n": 3,
+                   "edges": [[1, 2, 1.0], [2, 1, 1.0], [2, 3, 1.0]]}))], "config error:"),
+        (lambda path: ["stability", "--config", path(stability_config(
+            graph={"builder": "path", "n": 3, "x_min": 0.0, "x_max": 1.0,
+                   "weight_mode": "constant", "weight": -1.0}))], "config error:"),
+        (lambda path: ["dispersion", "--config", path(dispersion_config(
+            graph={"builder": "torus", "dims": [4], "delta_x": float("nan")}))], "config error:"),
+        (lambda path: ["stability", "--config", path(stability_config(
+            graph={"builder": "explicit", "n": 3, "edges": [[1, 2, 1.0]]}))], "config error:"),
+        (lambda path: ["simulate"], "usage:"),
+        (lambda path: ["simulate", "--config", path(simulate_config()), "--seed", "3"], "usage:"),
+        (lambda path: ["verify", "--bogus"], "usage:"),
+    ],
+    ids=["self-loop", "duplicate-edge", "negative-weight", "nan-delta-x", "disconnected",
+         "missing-config", "removed-seed", "unknown-flag"],
+)
+def test_bad_graphs_and_usage_errors_exit_1(tmp_path, capsys, case, prefix):
+    args = case(lambda cfg: write_config(tmp_path, "c.json", cfg))
+    assert _exit_code(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_help_exits_0_and_lists_a_seed_for_verify_only(capsys):
+    for command in ("simulate", "ground-state", "stability", "dispersion", "verify"):
+        assert _exit_code([command, "--help"]) == 0
+        assert ("--seed" in capsys.readouterr().out) == (command == "verify")
+
+
 def test_simulate_rejects_non_finite_numbers(tmp_path, capsys):
     nan, inf = float("nan"), float("inf")
     base = simulate_config()
@@ -545,6 +597,17 @@ def test_json_writes_numpy_values_as_python_ones(tmp_path):
     write_json(tmp_path / "a.json", data)
     plain = {"f": 0.1, "i": 3, "b": True, "a": [[1.5, 2.0]], "t": [0.5, 2]}
     assert (tmp_path / "a.json").read_text() == json.dumps(plain, indent=2) + "\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_writes_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"a": np.array([1.0, np.nan]), "b": np.float64(np.inf), "c": (-np.inf, 2)})
+    data = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert data == {"a": [1.0, None], "b": None, "c": [None, 2]}
 
 
 def test_dispersion_cycle8(tmp_path):
@@ -629,6 +692,18 @@ def test_verify_override_cannot_loosen_a_failing_suite(tmp_path, capsys, monkeyp
     assert run(["verify", "--config", path, "--out", str(out)]) == 3
     assert "FAIL hodge" in capsys.readouterr().out
     assert json.loads((out / "verify.json").read_text())["passed"] is False
+
+
+def test_verify_json_is_standard_when_the_battery_run_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.verify_mod.BatteryRun, "_integrate",
+                        lambda self: (None, "two_node: forced failure"))
+    path = write_config(tmp_path, "c.json",
+                        {"schema": 1, "command": "verify", "suites": ["conservation"]})
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 3
+    rep = json.loads((out / "verify.json").read_text(), parse_constant=_reject_constant)
+    (check,) = rep["checks"]
+    assert check["worst"] is None and check["detail"] == "two_node: forced failure"
 
 
 def test_verify_empty_suite_list_is_a_config_error(tmp_path, capsys):

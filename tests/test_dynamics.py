@@ -18,6 +18,7 @@ from graph_nls import (
     plane_wave_residual,
     rhs,
     rhs_jacobian,
+    schrodinger_operator,
     simulate,
     step,
     to_wave,
@@ -460,6 +461,27 @@ def test_cnls_residual_from_chain_rule(rng):
             - (spec.W @ rho) * psi
         )
         assert np.abs(resid).max() < 1e-8
+
+
+@pytest.mark.parametrize("W", ["zero", "diagonal", "dense"])
+def test_schrodinger_operator_is_i_h_dpsi_dt_of_the_flow(W):
+    # H(Psi) against i h dPsi/dt, with dPsi/dt from the density/phase flow
+    # by the chain rule, for every way PotentialSpec stores W; the phase
+    # differences (S_j - S_l)/h stay below pi, on the principal branch
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        G = random_connected_graph(rng)
+        n = G.n
+        A = rng.normal(0.0, 0.5, (n, n))
+        interaction = {"zero": np.zeros(n), "diagonal": rng.uniform(-1.0, 1.0, n),
+                       "dense": A + A.T}[W]
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), interaction, float(rng.uniform(0.3, 1.5)))
+        st = SystemState(random_interior(rng, n), spec.h * rng.uniform(-1.0, 1.0, n))
+        drho, dS = rhs(G, spec, st)
+        psi = to_wave(st, spec.h)
+        dpsi = (drho / (2.0 * st.rho) + 1j * dS / spec.h) * psi
+        H = schrodinger_operator(G, spec, psi)
+        assert np.abs(1j * spec.h * dpsi - H).max() <= 1e-12 * max(1.0, np.abs(H).max())
 
 
 def test_plane_wave_residual_cycle8():

@@ -59,19 +59,9 @@ def _finite_or_null(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _dumps(data) -> str:
-    # numpy arrays and scalars go through .tolist(); np.float64 is a float
-    # subclass, so json writes it as it writes a float
-    return json.dumps(data, indent=2, default=lambda obj: obj.tolist(), allow_nan=False)
-
-
 def write_json(path, data) -> None:
     """Standard JSON: a NaN or an infinity is written as null."""
-    try:
-        text = _dumps(data)
-    except ValueError:  # a non-finite float
-        text = _dumps(_finite_or_null(data))
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, json.dumps(_finite_or_null(data), indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

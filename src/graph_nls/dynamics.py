@@ -11,7 +11,9 @@ the Schrodinger-type equation with the nonlinear graph Laplacian.
 Default integrator is the implicit midpoint rule (symplectic; simplified
 Newton iteration started from a quadratic extrapolation of the last three
 steps, each update a GMRES solve with the analytic Jacobian applied
-matrix-free in O(n + m)), with classical RK4 available for cross-checks.
+matrix-free in O(n + m), stopped on the true residual or, after a first
+update, on a contraction estimate that a true residual refreshes at least
+every ninth step), with classical RK4 available for cross-checks.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class Trajectory:
     the products with the Jacobian that their GMRES solves made, the builds
     of the Newton operator and the Newton solves started from the
     extrapolated predictor, over every step tried, failed ones included.
+    ``estimated_stops`` counts the steps that stopped after their first
+    update on the contraction estimate, without evaluating the residual
+    there; every other step stopped on a residual within ``newton_tol``.
     """
 
     times: list = field(default_factory=list)
@@ -119,6 +124,7 @@ class Trajectory:
     krylov_matvecs: int = 0
     factorizations: int = 0
     extrapolated_starts: int = 0
+    estimated_stops: int = 0
 
     @property
     def halvings(self) -> int:
@@ -182,6 +188,10 @@ def _extrapolate(starts):
 _GMRES_TOL = 1e-3
 _KRYLOV_DIM = 30
 
+# at most this many steps in a row stop on the contraction estimate; the
+# next one evaluates its residual, which measures the contraction afresh
+_ESTIMATED_RUN = 8
+
 
 class _NewtonMatrix:
     """The simplified-Newton matrix M = I - dt/2 J, applied matrix-free.
@@ -198,7 +208,8 @@ class _NewtonMatrix:
     ``simulate`` reuses one holder across the Newton iterations and the
     steps of a run.  The holder also keeps the starts of the last steps of
     one unbroken run at one dt, from which ``predict`` extrapolates the
-    next step's Newton start.
+    next step's Newton start, and the contraction model of ``calibrate``
+    and ``stops_on_estimate``.
     """
 
     def __init__(self):
@@ -208,6 +219,9 @@ class _NewtonMatrix:
         self.iterations = 0
         self.matvecs = 0
         self.extrapolated = 0
+        self.estimated = 0
+        self.rate = None  # contraction per unit distance from the frozen midpoint
+        self._run = 0  # estimated stops since the last calibration
         self._last = None  # (state returned by the last step, its dt)
         self._starts = []  # starts of the steps since the last reset, at most 3
 
@@ -216,6 +230,8 @@ class _NewtonMatrix:
         self._rows, self._cols, self._vals = rows, cols, 0.5 * dt * vals
         self._size = 2 * G.n
         self._basis = np.empty((_KRYLOV_DIM, self._size))
+        self._frozen = np.concatenate([mid.rho, mid.S])  # the midpoint J is frozen at
+        self.rate = None
         self.dt = dt
         self.builds += 1
 
@@ -269,16 +285,47 @@ class _NewtonMatrix:
             y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, k))) / cols[i][i]
         return F + np.array(y).dot(basis[:k])
 
+    def calibrate(self, ratio, zm):
+        """Record the contraction r1/r0 of a step's first update, ending at midpoint zm.
+
+        The contraction of simplified Newton grows with the distance of the
+        midpoint from the one J is frozen at, so the rate is kept per unit
+        of that distance.
+        """
+        distance = float(np.abs(zm - self._frozen).max())
+        self.rate = float(ratio) / distance if distance > 0 else None
+        self._run = 0
+
+    def stops_on_estimate(self, zm, dz):
+        """Whether a step may stop after its first update dz, which ended at midpoint zm.
+
+        theta = rate * max|zm - zb| estimates the contraction at zm (zb the
+        frozen midpoint), and theta / (1 - theta) max|dz| the error left.
+        Yes when theta < 1 and that error is within the Newton tolerance,
+        unless the rate is unknown or _ESTIMATED_RUN steps in a row have
+        already stopped on it.  A NaN fails every comparison.
+        """
+        if self.rate is None or self._run >= _ESTIMATED_RUN:
+            return False
+        theta = self.rate * float(np.abs(zm - self._frozen).max())
+        if not (theta < 1.0 and theta / (1.0 - theta) * float(np.abs(dz).max()) <= self.tol):
+            return False
+        self._run += 1
+        self.estimated += 1
+        return True
+
     def predict(self, state, z0, dt):
         """The extrapolated start of the step from ``state``, or None.
 
         The history continues only when ``state`` is the object the last
         step returned and ``dt`` is that step's dt; otherwise it restarts
-        at ``z0``.  None until three starts are known, and None when the
-        extrapolated density is not strictly positive.
+        at ``z0``, and the contraction rate is forgotten.  None until three
+        starts are known, and None when the extrapolated density is not
+        strictly positive.
         """
         if self._last is None or self._last[0] is not state or self._last[1] != dt:
             self._starts = []
+            self.rate = None
         self._last = None  # set again only when this step succeeds
         self._starts = self._starts[-2:] + [z0]
         if len(self._starts) < 3:
@@ -295,22 +342,33 @@ class _NewtonMatrix:
 
 
 def _newton_solve(G, spec, state, cfg, newton, z0, z1):
-    """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1."""
+    """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1.
+
+    Stops when the residual F has max|F| <= newton_tol, or right after the
+    first update when ``newton.stops_on_estimate`` bounds the error left by
+    newton_tol; the residual is then not evaluated.  Every step that
+    evaluates the residual after its first update recalibrates that
+    estimate; a rebuild of the operator forgets it.
+    """
     n = G.n
     dt = cfg.dt
     newton.tol = cfg.newton_tol
     prev = np.inf
-    for _ in range(cfg.newton_max_iter):
+    for it in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
         # z0 is interior, so the midpoint density is positive when z1's is
         if z1[:n].min() <= 0:
             raise StepLeftSimplex("Newton iterate density left the simplex interior")
         zm = 0.5 * (z0 + z1)
+        if it == 1 and newton.stops_on_estimate(zm, dz):
+            return SystemState(z1[:n], z1[n:], state.t + dt)
         mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * dt)
         fm = np.concatenate(rhs(G, spec, mid))
         F = z1 - z0 - dt * fm
         res = np.abs(F).max()
+        if it == 1:
+            newton.calibrate(res / prev, zm)
         if res <= cfg.newton_tol:
             return SystemState(z1[:n], z1[n:], state.t + dt)
         if not np.isfinite(res):
@@ -320,7 +378,8 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
         if newton.dt != dt or res > 0.1 * prev:
             newton.build(G, spec, mid, dt)
         prev = res
-        z1 = z1 - newton.solve(F)
+        dz = newton.solve(F)
+        z1 = z1 - dz
     raise NewtonDivergence(
         f"residual {res:.3g} > {cfg.newton_tol:.3g} after {cfg.newton_max_iter} iterations"
     )
@@ -333,7 +392,9 @@ def _midpoint_step(G, spec, state, cfg, newton):
         try:
             return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, guess), cfg.dt)
         except (StepLeftSimplex, NewtonDivergence):
-            pass  # a bad guess must not halve dt: start again from Euler
+            # a bad guess must not halve dt: forget the rate its solve may
+            # have measured and start again from Euler
+            newton.rate = None
     euler = z0 + cfg.dt * np.concatenate(rhs(G, spec, state))
     return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, euler), cfg.dt)
 
@@ -444,6 +505,7 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     traj.krylov_matvecs = newton.matvecs
     traj.factorizations = newton.builds
     traj.extrapolated_starts = newton.extrapolated
+    traj.estimated_stops = newton.estimated
     return traj
 
 

@@ -164,12 +164,24 @@ def build_graph(n, edges, coords=None, **meta) -> Graph:
     return Graph(n=n, ej=ej, el=el, weights=w, coords=coords, **meta)
 
 
-def build_path_lattice(n, x_min, x_max, weight_mode="continuum", weight=1.0) -> Graph:
+def _lattice_weight(weight_mode, weight, dx):
+    """The edge weight of a lattice with spacing dx: 1/dx^2 or the given one."""
+    if weight_mode == "continuum":
+        if weight is not None:
+            raise ConfigError('"weight" is used only with weight_mode "constant"')
+        return 1.0 / dx**2
+    if weight_mode == "constant":
+        return 1.0 if weight is None else float(weight)
+    raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+
+
+def build_path_lattice(n, x_min, x_max, weight_mode="continuum", weight=None) -> Graph:
     """Path graph with equally spaced coordinates on [x_min, x_max].
 
     ``continuum`` mode sets every edge weight to 1/dx^2, which is the
     normalization under which the lattice operators converge to their
-    continuum counterparts.  ``constant`` uses the given ``weight``.
+    continuum counterparts, and rejects a ``weight``.  ``constant`` uses
+    the given ``weight`` (default 1).
     """
     if n < 2:
         raise ConfigError("path lattice needs at least 2 nodes")
@@ -177,29 +189,22 @@ def build_path_lattice(n, x_min, x_max, weight_mode="continuum", weight=1.0) -> 
         raise ConfigError("need x_min < x_max")
     xs = np.linspace(x_min, x_max, n)
     dx = xs[1] - xs[0]
-    if weight_mode == "continuum":
-        w = 1.0 / dx**2
-    elif weight_mode == "constant":
-        w = float(weight)
-    else:
-        raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+    w = _lattice_weight(weight_mode, weight, dx)
     edges = [(j, j + 1, w) for j in range(n - 1)]
     return build_graph(n, edges, coords=xs.reshape(-1, 1), delta_x=float(dx))
 
 
-def build_torus(dims, delta_x=1.0, weight_mode="continuum", weight=1.0) -> Graph:
-    """Periodic lattice with identical degree and edge weight at every node."""
+def build_torus(dims, delta_x=1.0, weight_mode="continuum", weight=None) -> Graph:
+    """Periodic lattice with identical degree and edge weight at every node.
+
+    The edge weight follows ``weight_mode`` as in ``build_path_lattice``.
+    """
     dims = tuple(int(d) for d in dims)
     if any(d < 3 for d in dims):
         raise ConfigError("each torus dimension must be >= 3 (else multi-edges)")
     if delta_x <= 0:
         raise ConfigError("delta_x must be positive")
-    if weight_mode == "continuum":
-        w = 1.0 / delta_x**2
-    elif weight_mode == "constant":
-        w = float(weight)
-    else:
-        raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+    w = _lattice_weight(weight_mode, weight, delta_x)
     n = int(np.prod(dims))
     idx = np.arange(n).reshape(dims)
     edges = []

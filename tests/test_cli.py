@@ -147,6 +147,18 @@ def test_simulate_summary_reports_extrapolated_starts(tmp_path):
     assert summary["newton_iterations"] <= 504
 
 
+def test_simulate_two_point_reports_estimated_stops(tmp_path):
+    out = tmp_path / "out"
+    path = os.path.join(REPO, "configs", "two_point.json")
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    keys = list(summary)
+    assert keys.index("estimated_stops") == keys.index("extrapolated_starts") + 1
+    # of 10,000 steps, eight in every nine stop on the contraction estimate
+    assert 8800 <= summary["estimated_stops"] <= 10_000 * 8 / 9
+    assert summary["newton_iterations"] == 10_000
+
+
 def test_simulate_non_numeric_integrator_value(tmp_path, capsys):
     for key, value in (("dt", "abc"), ("T", [1.0]), ("output_every", "x")):
         cfg = simulate_config()
@@ -529,6 +541,12 @@ def _exit_code(args):
         (lambda path: ["stability", "--config", path(stability_config(
             graph={"builder": "path", "n": 3, "x_min": 0.0, "x_max": 1.0,
                    "weight_mode": "constant", "weight": -1.0}))], "config error:"),
+        (lambda path: ["stability", "--config", path(stability_config(
+            graph={"builder": "path", "n": 3, "x_min": 0.0, "x_max": 1.0,
+                   "weight": -1.0}))], "config error:"),
+        (lambda path: ["dispersion", "--config", path(dispersion_config(
+            graph={"builder": "torus", "dims": [4], "weight_mode": "continuum",
+                   "weight": 2.0}))], "config error:"),
         (lambda path: ["dispersion", "--config", path(dispersion_config(
             graph={"builder": "torus", "dims": [4], "delta_x": float("nan")}))], "config error:"),
         (lambda path: ["stability", "--config", path(stability_config(
@@ -537,7 +555,8 @@ def _exit_code(args):
         (lambda path: ["simulate", "--config", path(simulate_config()), "--seed", "3"], "usage:"),
         (lambda path: ["verify", "--bogus"], "usage:"),
     ],
-    ids=["self-loop", "duplicate-edge", "negative-weight", "nan-delta-x", "disconnected",
+    ids=["self-loop", "duplicate-edge", "negative-weight", "path-continuum-weight",
+         "torus-continuum-weight", "nan-delta-x", "disconnected",
          "missing-config", "removed-seed", "unknown-flag"],
 )
 def test_bad_graphs_and_usage_errors_exit_1(tmp_path, capsys, case, prefix):

@@ -23,7 +23,7 @@ from graph_nls import (
     step,
     to_wave,
 )
-from graph_nls import dynamics
+from graph_nls import dynamics, verify
 from conftest import two_node, random_connected_graph, random_interior
 
 
@@ -398,6 +398,187 @@ def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
     assert traj.extrapolated_starts == (0 if guess == "negative" else 18)
     assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
     assert np.abs(np.asarray(traj.Ss) - np.asarray(ref.Ss)).max() <= 1e-11
+
+
+def spy_true_residuals(monkeypatch):
+    """max|F| / newton_tol of the true residual of every step _newton_solve returns."""
+    ratios = []
+    real = dynamics._newton_solve
+
+    def spy(G, spec, state, cfg, newton, z0, z1):
+        new = real(G, spec, state, cfg, newton, z0, z1)
+        z = np.concatenate([new.rho, new.S])
+        zm = 0.5 * (z0 + z)
+        mid = SystemState(zm[: G.n], zm[G.n :], state.t + 0.5 * cfg.dt)
+        F = z - z0 - cfg.dt * np.concatenate(rhs(G, spec, mid))
+        ratios.append(np.abs(F).max() / cfg.newton_tol)
+        return new
+
+    monkeypatch.setattr(dynamics, "_newton_solve", spy)
+    return ratios
+
+
+@pytest.mark.parametrize("dt, T", [(1e-3, 1.0), (0.05, 5.0), (0.5, 10.0)])
+def test_every_returned_step_meets_newton_tol_on_the_battery(monkeypatch, dt, T):
+    ratios = spy_true_residuals(monkeypatch)
+    cfg = IntegratorConfig(dt=dt, T=T, newton_tol=1e-13, output_every=10**9)
+    estimated = 0
+    for name, G, spec, state in verify._battery(0):
+        traj = simulate(G, spec, state, cfg)
+        assert traj.error is None, name
+        estimated += traj.estimated_stops
+    assert ratios and max(ratios) <= 1.0
+    if dt == 1e-3:
+        assert estimated > 0  # the estimate was exercised
+
+
+def test_every_returned_step_meets_newton_tol_on_random_graphs(monkeypatch, rng):
+    # the cases of test_simplified_newton_matches_full_newton
+    ratios = spy_true_residuals(monkeypatch)
+    cfg = IntegratorConfig(dt=5e-3, T=0.25, newton_tol=1e-13)
+    for _ in range(20):
+        G = random_connected_graph(rng)
+        n = G.n
+        dense = random_spec(rng, n)
+        for W in (np.zeros((n, n)), rng.uniform(-1.0, 1.0) * np.eye(n), dense.W):
+            spec = PotentialSpec(dense.V, W, dense.h)
+            state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+            assert simulate(G, spec, state, cfg).error is None
+    assert len(ratios) >= 60 * 50 and max(ratios) <= 1.0
+
+
+def test_estimated_stops_save_the_confirming_rhs_call(monkeypatch):
+    rhs_calls = itertools.count()
+    real_rhs, real_solve = dynamics.rhs, dynamics._newton_solve
+    stopped = []  # per returned step: whether it stopped on the estimate
+
+    def counted_rhs(*args):
+        next(rhs_calls)
+        return real_rhs(*args)
+
+    def solve_spy(G, spec, state, cfg, newton, z0, z1):
+        before = newton.estimated
+        new = real_solve(G, spec, state, cfg, newton, z0, z1)
+        stopped.append(newton.estimated > before)
+        return new
+
+    monkeypatch.setattr(dynamics, "rhs", counted_rhs)
+    monkeypatch.setattr(dynamics, "_newton_solve", solve_spy)
+    cfg = IntegratorConfig(dt=1e-3, T=1.0, newton_tol=1e-13, output_every=10**9)
+    for name, G, spec, state in verify._battery(0):
+        rhs_calls = itertools.count()
+        stopped.clear()
+        traj = simulate(G, spec, state, cfg)
+        assert traj.error is None and traj.halvings == 0, name
+        assert len(stopped) == 1000
+        assert next(rhs_calls) <= 1.2 * 1000, name
+        # at least one step in every nine evaluates its residual
+        run = max(len(r) for r in "".join("e" if s else "." for s in stopped).split("."))
+        assert run <= 8, name
+        assert traj.estimated_stops == sum(stopped) > 0
+
+
+def test_nan_increment_is_never_accepted(monkeypatch):
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    cfg = IntegratorConfig(dt=1e-3, T=0.1, newton_tol=1e-13)
+    ref = simulate(G, spec, st, cfg)
+    assert ref.estimated_stops > 0
+    real = dynamics._NewtonMatrix.solve
+    solves = itertools.count()
+
+    def inject(self, F):
+        out = real(self, F)
+        if next(solves) % 10 == 5:
+            out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", inject)
+    traj = simulate(G, spec, st, cfg)
+    assert traj.error is None and len(traj) == len(ref)
+    assert np.isfinite(np.asarray(traj.rhos)).all() and np.isfinite(np.asarray(traj.Ss)).all()
+    assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
+
+
+def test_estimate_stops_only_a_finite_contracting_update():
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    z = np.concatenate([st.rho, st.S])  # the frozen midpoint
+    tiny = np.full(4, 1e-20)
+    newton = dynamics._NewtonMatrix()
+    newton.build(G, spec, st, 1e-3)
+    newton.tol = 1e-13
+    assert not newton.stops_on_estimate(z + 1e-3, tiny)  # nothing measured yet
+    newton.calibrate(1e-6, z + 1e-3)  # a rate of 1e-3 per unit distance
+    assert newton.stops_on_estimate(z + 1e-3, tiny)
+    assert not newton.stops_on_estimate(z + 1e-3, np.array([1e-20, np.nan, 0.0, 0.0]))
+    assert not newton.stops_on_estimate(z + np.nan, tiny)
+    assert not newton.stops_on_estimate(z + 1e-3, np.full(4, 1e-6))  # theta 1e-6: error 1e-12
+    assert not newton.stops_on_estimate(z + 2e3, tiny)  # theta = 2: no contraction
+    # at most _ESTIMATED_RUN stops in a row after a calibration
+    newton.calibrate(1e-6, z + 1e-3)
+    stops = [newton.stops_on_estimate(z + 1e-3, tiny) for _ in range(2 * dynamics._ESTIMATED_RUN)]
+    assert sum(stops) == dynamics._ESTIMATED_RUN
+    newton.calibrate(1e-6, z + 1e-3)
+    assert newton.stops_on_estimate(z + 1e-3, tiny)
+    # a rebuild forgets the rate
+    newton.build(G, spec, st, 1e-3)
+    assert not newton.stops_on_estimate(z + 1e-3, tiny)
+
+
+def test_a_failed_solve_forgets_the_rate(monkeypatch):
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    state = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    cfg = IntegratorConfig(dt=1e-3, newton_tol=1e-13)
+    newton = dynamics._NewtonMatrix()
+    for _ in range(3):
+        state = step(G, spec, state, cfg, newton)
+    newton.rate = 0.0  # would stop any first update on the estimate
+    real = dynamics._NewtonMatrix.solve
+    solves = itertools.count()
+
+    def inject(self, F):
+        out = real(self, F)
+        if next(solves) == 0:
+            out[-1] = np.nan  # the solve from the extrapolated start fails
+        return out
+
+    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", inject)
+    extrapolated, estimated = newton.extrapolated, newton.estimated
+    step(G, spec, state, cfg, newton)
+    assert newton.extrapolated == extrapolated + 1
+    # the retry from Euler evaluated its residual and measured the rate afresh
+    assert newton.estimated == estimated and newton.rate > 0.0
+
+
+def test_no_estimated_stop_after_a_halving_until_a_new_confirmation(monkeypatch):
+    events = []
+    real_step, real_calibrate = dynamics.step, dynamics._NewtonMatrix.calibrate
+    calls = itertools.count()
+
+    def step_spy(G, spec, state, cfg, newton=None):
+        if next(calls) == 40:
+            events.append("halving")
+            raise NewtonDivergence("forced")
+        before = newton.estimated
+        new = real_step(G, spec, state, cfg, newton)
+        events.append("estimated" if newton.estimated > before else "confirmed")
+        return new
+
+    def calibrate_spy(self, ratio, zm):
+        events.append("calibrated")
+        return real_calibrate(self, ratio, zm)
+
+    monkeypatch.setattr(dynamics, "step", step_spy)
+    monkeypatch.setattr(dynamics._NewtonMatrix, "calibrate", calibrate_spy)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=0.1, newton_tol=1e-13))
+    assert traj.error is None and traj.halvings == 1
+    k = events.index("halving")
+    after = events[k + 1 :]
+    assert "estimated" in events[:k] and "estimated" in after
+    assert after.index("calibrated") < after.index("estimated")
 
 
 def test_wave_round_trip(rng):

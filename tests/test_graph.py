@@ -67,6 +67,16 @@ def test_path_lattice_constant_weights():
     assert np.allclose(G.weights, 3.0)
 
 
+def test_lattice_weight_is_read_in_constant_mode_only():
+    # a continuum lattice takes 1/dx^2, so a weight given with it is an error
+    with pytest.raises(ConfigError):
+        build_path_lattice(3, 0.0, 1.0, weight=-1.0)
+    with pytest.raises(ConfigError):
+        build_torus([4], 1.0, weight_mode="continuum", weight=2.0)
+    assert np.allclose(build_path_lattice(3, 0.0, 1.0, weight_mode="constant").weights, 1.0)
+    assert np.allclose(build_torus([4], 0.5, weight_mode="constant").weights, 1.0)
+
+
 def test_torus_1d_is_cycle():
     G = build_torus([8], 1.0)
     assert G.n == 8 and G.m == 8

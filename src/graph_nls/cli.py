@@ -174,9 +174,17 @@ def _h_values(values) -> list:
     return [number(h) for h in values]
 
 
+def _init_density(value) -> np.ndarray:
+    """A start density: finite and strictly positive, normalized by the solver."""
+    rho = floats(value)
+    if not (rho.min() > 0.0 and rho.max() < np.inf):  # a NaN fails the first test
+        raise ConfigError("every entry must be positive and finite")
+    return rho
+
+
 def cmd_ground_state(cfg_path, out_dir) -> int:
     keys = {"graph": as_is, "potentials": as_is, "h_values": _h_values,
-            "tol": number, "max_iter": integer, "init": floats}
+            "tol": number, "max_iter": integer, "init": _init_density}
     with _reading_config("ground-state"):
         data = load_config(cfg_path, "ground-state", keys, {"graph", "potentials"})
         G = _graph(data["graph"])
@@ -199,6 +207,8 @@ def cmd_ground_state(cfg_path, out_dir) -> int:
             "kkt_residual": res.kkt_residual,
             "eigen_residual": eigen_residual(G, spec, res),
             "iterations": res.iterations,
+            "cg_products": res.cg_products,
+            "fallback_steps": res.fallback_steps,
             "unique": res.unique,
         }
         if failed is not None:

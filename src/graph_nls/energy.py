@@ -33,6 +33,7 @@ __all__ = [
     "static_gradient",
     "static_hessian",
     "static_hessian_entries",
+    "static_log_hessian_entries",
     "energy_terms",
     "hamiltonian",
     "wave_edge_field",
@@ -146,14 +147,25 @@ def fisher_gradient(G: Graph, rho) -> np.ndarray:
     return G.sum_ends(0.5 * wd * d) + G.div(2.0 * wd * edge_means(G, rho)) / rho
 
 
+def _fisher_conductances(G: Graph, rho) -> np.ndarray:
+    """w t_lj with t_lj = (drho)(dlog) + (rho_l + rho_j), positive on every edge.
+
+    diag(rho) Hess I diag(rho) is the Laplacian D^T diag(w t) D: the Hessian
+    of I in the coordinates u = log rho, less its first-order term, with no
+    1/rho^2 in it.
+    """
+    return G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
+
+
 def fisher_hessian_entries(G: Graph, rho):
     """The Hessian of I as (rows, cols, vals) entries, O(n + m) of them.
 
-    Built from t_lj = (drho)(dlog) + (rho_l + rho_j); the edge value sits at
-    both (ej, el) and (el, ej), so a product with the Hessian costs O(n + m).
+    diag(1/rho) D^T diag(w t) D diag(1/rho) with the conductances w t of
+    ``_fisher_conductances``; the edge value sits at both (ej, el) and
+    (el, ej), so a product with the Hessian costs O(n + m).
     """
     rho = check_interior(rho, G.n)
-    wt = G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
+    wt = _fisher_conductances(G, rho)
     off = -wt / (rho[G.ej] * rho[G.el])
     return G.edge_entries(G.sum_ends(wt) / rho**2, off, off)
 
@@ -202,6 +214,29 @@ def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
         return rows, cols, vals
     r, s = np.nonzero(w)
     return np.concatenate([rows, r]), np.concatenate([cols, s]), np.concatenate([vals, w[r, s]])
+
+
+def static_log_hessian_entries(G: Graph, spec: PotentialSpec, rho):
+    """diag(rho) H diag(rho) of the static Hessian H = (h^2/8) Hess I + W.
+
+    The Hessian of the static energy in the coordinates u = log rho is this
+    plus diag(rho grad).  Its Fisher part is the Laplacian with conductances
+    (h^2/8) w t, so no entry divides by rho and a vanishing density cannot
+    overflow it.  The first n values are the whole diagonal, W's included,
+    and a dense W appends its off-diagonal nonzeros, so a diagonal W gives
+    the same entries in either form.
+    """
+    rho = check_interior(rho, G.n)
+    c = spec.h**2 / 8.0 * _fisher_conductances(G, rho)
+    w = spec.interaction
+    diagonal = w if w.ndim == 1 else np.diagonal(w)
+    rows, cols, vals = G.edge_entries(G.sum_ends(c) + diagonal * rho * rho, -c, -c)
+    if w.ndim == 1:
+        return rows, cols, vals
+    r, s = np.nonzero(w)
+    r, s = r[r != s], s[r != s]
+    return (np.concatenate([rows, r]), np.concatenate([cols, s]),
+            np.concatenate([vals, rho[r] * w[r, s] * rho[s]]))
 
 
 def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:

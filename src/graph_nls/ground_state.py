@@ -1,13 +1,18 @@
 """Ground states: minimize E(sqrt(rho)) over the probability simplex.
 
-The objective is (h^2/8) I(rho) + V(rho) + W(rho).  The solver is mirror
-descent with multiplicative updates, which keeps iterates strictly
-interior (matching the Fisher term's blow-up at the boundary), plus
-Armijo backtracking on the step size.
+The objective is (h^2/8) I(rho) + V(rho) + W(rho).  The solver is one
+Newton loop in u = log rho, which keeps every iterate strictly interior
+(matching the Fisher term's blow-up at the boundary).  Each direction is a
+truncated, diagonally preconditioned conjugate-gradient solve of the
+Newton system projected onto sum(delta rho) = 0, applied matrix-free in
+O(n + m) per product (Steihaug 1983; Nocedal & Wright, Alg. 7.1).  Armijo
+backtracking on the energy, with an allowance for its roundoff, globalizes
+it; a mirror-descent step is the fallback when the Newton direction fails.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,10 +24,10 @@ from .energy import (
     check_interior,
     energy_terms,
     static_gradient,
-    static_hessian_entries,
+    static_log_hessian_entries,
 )
 from .dynamics import schrodinger_operator
-from .graph import Graph, dense
+from .graph import Graph
 
 __all__ = [
     "GroundStateResult",
@@ -49,8 +54,10 @@ class GroundStateResult:
     nu: float
     energy: float
     kkt_residual: float
-    iterations: int
+    iterations: int  # outer Newton iterations, fallback steps included
     unique: bool = True  # False when W is not positive semidefinite
+    cg_products: int = 0  # Hessian products of all the CG solves
+    fallback_steps: int = 0  # mirror steps taken where a Newton step failed
 
 
 def min_interaction_eigenvalue(W) -> float:
@@ -78,117 +85,197 @@ def _kkt(grad, rho):
     return nu, float(np.abs(grad - nu).max())
 
 
-# per-coordinate cap on the log-density movement of one multiplicative step
-LOG_STEP_CAP = 30.0
+# per-coordinate cap on the log-density movement of one step
+LOG_STEP_CAP = 5.0
 # absolute floor keeping transient iterates representable; the minimizer
 # itself never reaches it (the Fisher term diverges at the boundary)
 RHO_FLOOR = 1e-290
+# an energy rise within this relative roundoff counts as no rise
+ENERGY_ROUNDOFF = 1e-14
+# backtracking halvings of a Newton step before the mirror fallback
+NEWTON_HALVINGS = 30
+# CG products allowed for one Newton direction
+CG_MAX_PRODUCTS = 200
+# a solve stops after this many outer iterations in a row that bring no
+# new smallest KKT residual and move no log-density by STALL_STEP or more
+STALL_ITERATIONS = 50
+STALL_STEP = 1e-2
 
 
-def _mirror_phase(G, spec, rho, tol, max_iter):
-    """Mirror descent rho <- rho exp(-eta grad) / Z until KKT tol or stall.
+def _newton_direction(G, spec, rho, dg, target):
+    """A truncated Newton direction du in u = log rho, and its product count.
 
-    Armijo backtracking on eta keeps the energy strictly decreasing; near
-    the minimizer the energy differences fall below roundoff long before
-    the KKT residual does, at which point the loop stalls and hands over
-    to the Newton polish.
+    Solves H du = -rho dg on rho^T du = 0, where H = diag(rho) Hess E
+    diag(rho) + diag(rho dg) is the Hessian of the Lagrangian in u, held
+    as entries: a product is one gather and one ``np.bincount``.  The
+    solve is projected CG, preconditioned by a diagonal M that adds up the
+    sizes of the diagonal terms of H, so it stays positive where H is
+    indefinite.  It stops once the residual of the linearized stationarity
+    system, read in rho as the KKT residual is, falls to ``target``; after
+    CG_MAX_PRODUCTS products, or once its updated residual is down to
+    roundoff, it returns the iterate with the smallest such residual.  At
+    negative curvature it returns its iterate so far, or the preconditioned
+    steepest-descent direction if there is none yet.
+    """
+    n = G.n
+    rows, cols, vals = static_log_hessian_entries(G, spec, rho)
+    curv = rho * dg
+    vals[:n] += curv  # the whole diagonal; the off-diagonal entries follow
+    w = spec.interaction
+    # each diagonal term by its size: the Fisher term as the sum of its
+    # edges (plus the row sums of a dense W's off-diagonal part), rho^2 |W_jj|
+    # and |rho dg|
+    m = (np.bincount(rows[n:], np.abs(vals[n:]), n)
+         + np.abs(w if w.ndim == 1 else np.diagonal(w)) * rho * rho + np.abs(curv))
+    inv_m = 1.0 / np.maximum(m, np.finfo(float).tiny)
+    q = inv_m * rho
+    q /= rho @ q
+
+    def h_times(x):
+        return np.bincount(rows, vals * x[cols], n)
+
+    def precondition(r):  # M^-1 r, projected onto rho^T y = 0 in the M metric
+        y = inv_m * r
+        return y - q * (rho @ y)
+
+    def residual(r):  # r / rho less its multiplier, as grad - nu is
+        return float(np.abs(r / rho - r.sum()).max())
+
+    x = np.zeros(n)
+    r = curv  # the residual H x + rho dg at x = 0
+    best, best_x = np.inf, x
+    y = precondition(r)
+    ry = r @ y
+    d = -y
+    products = 0
+    while products < CG_MAX_PRODUCTS:
+        hd = h_times(d)
+        products += 1
+        curvature = d @ hd
+        if not curvature > 0:
+            return (x if products > 1 else d), products
+        alpha = ry / curvature
+        x = x + alpha * d
+        r = r + alpha * hd
+        res = residual(r)
+        if res < best:
+            best, best_x = res, x
+            if res <= target:
+                break
+        y = precondition(r)
+        ry_new = r @ y
+        if not ry_new > 0:  # r is down to the roundoff of its updates
+            break
+        d *= ry_new / ry
+        d -= y
+        ry = ry_new
+    return best_x, products
+
+
+def _mirror_phase(G, spec, rho, energy, dg, eta):
+    """One mirror-descent step rho <- rho exp(-eta dg) / Z, the Newton fallback.
+
+    Armijo backtracking on eta demands a strict energy decrease; returns
+    (rho, energy, eta for the next step), or None when the energy is flat
+    to machine precision along the mirror direction.
+    """
+    while eta >= 1e-18:
+        z = np.clip(-eta * dg, -LOG_STEP_CAP, LOG_STEP_CAP)
+        new = rho * np.exp(z - z.max())
+        new = np.maximum(new, RHO_FLOOR)
+        new /= new.sum()
+        new_energy = ground_energy(G, spec, new)
+        pred = ARMIJO_SLOPE * min(float(dg @ (new - rho)), 0.0)
+        if new_energy <= energy + pred and new_energy < energy:
+            return new, new_energy, 1.5 * eta
+        eta *= 0.5
+    return None
+
+
+def _newton_step(G, spec, rho, energy, du, slope):
+    """Armijo backtracking along du from t = 1 (capped at LOG_STEP_CAP).
+
+    Each trial is rho exp(t du), renormalized; one with an entry below
+    RHO_FLOOR is rejected.  The test allows an energy rise of
+    ENERGY_ROUNDOFF max(|E|, 1): near the minimizer the decrease of a full
+    step is below the energy's roundoff, while the KKT residual still
+    falls quadratically.  Returns (rho, energy), or None after
+    NEWTON_HALVINGS halvings.
+    """
+    allowance = ENERGY_ROUNDOFF * max(abs(energy), 1.0)
+    u = np.log(rho)
+    t = min(1.0, LOG_STEP_CAP / float(np.abs(du).max()))
+    for _ in range(NEWTON_HALVINGS):
+        z = u + t * du
+        new = np.exp(z - z.max())
+        new /= new.sum()
+        if new.min() >= RHO_FLOOR:  # a NaN fails the test
+            new_energy = ground_energy(G, spec, new)
+            if new_energy <= energy + ARMIJO_SLOPE * t * slope + allowance:
+                return new, new_energy
+        t *= 0.5
+    return None
+
+
+def _newton_phase(G, spec, rho, tol, max_iter):
+    """Newton-CG in u = log rho from rho until KKT ``tol``, ``max_iter`` or a stall.
+
+    Returns (rho, energy, nu, residual, (iterations, products, fallback
+    steps)), where products counts the Hessian products of every CG solve.
+    Far from the minimizer a tail can take many steps of order one in u
+    while the KKT residual stays put, so a stall is STALL_ITERATIONS
+    iterations without a new smallest residual and without such a step.  A
+    non-finite residual stops the loop at the last (finite) iterate, as
+    does a mirror fallback that finds the energy flat.
     """
     energy = ground_energy(G, spec, rho)
     grad = ground_gradient(G, spec, rho)
     nu, res = _kkt(grad, rho)
     eta = 1.0 / (1.0 + np.abs(grad).max())
-    it = 0
-    while not res <= tol and it < max_iter:  # a NaN residual is not converged
+    best, stalled = res, 0
+    it = products = fallbacks = 0
+    while not res <= tol and math.isfinite(res) and it < max_iter and stalled < STALL_ITERATIONS:
         it += 1
-        step_dir = grad - nu
-        accepted = False
-        while eta >= 1e-18:
-            z = np.clip(-eta * step_dir, -LOG_STEP_CAP, LOG_STEP_CAP)
-            new = rho * np.exp(z - z.max())
-            new = np.maximum(new, RHO_FLOOR)
-            new /= new.sum()
-            new_energy = ground_energy(G, spec, new)
-            pred = ARMIJO_SLOPE * min(float(grad @ (new - rho)), 0.0)
-            if new_energy <= energy + pred and new_energy < energy:
-                accepted = True
+        dg = grad - nu
+        du, k = _newton_direction(G, spec, rho, dg, max(min(0.5, res) * res, 0.1 * tol))
+        products += k
+        slope = float((rho * dg) @ du)
+        step = _newton_step(G, spec, rho, energy, du, slope) if slope < 0 else None
+        if step is None:
+            fallbacks += 1
+            step = _mirror_phase(G, spec, rho, energy, dg, eta)
+            if step is None:
                 break
-            eta *= 0.5
-        if not accepted:
-            break  # energy flat to machine precision
-        rho, energy = new, new_energy
+            new, energy, eta = step
+        else:
+            new, energy = step
+        moved = float(np.abs(np.log(new / rho)).max())
+        rho = new
         grad = ground_gradient(G, spec, rho)
         nu, res = _kkt(grad, rho)
-        eta *= 1.5
-    return rho, energy, nu, res, it
-
-
-def _newton_phase(G, spec, rho, nu, tol, max_iter=200):
-    """Damped Newton on the interior stationarity system in log coordinates.
-
-    Solves grad E(rho) = nu, sum rho = 1 for (log rho, nu).  The residual
-    stays computable to machine precision even when energy differences do
-    not, so this drives the KKT residual below tolerances the line search
-    cannot reach.  A non-finite residual stops the loop at the last
-    (finite) iterate.
-    """
-    n = G.n
-    nodes, border = np.arange(n), np.full(n, n)
-    u = np.log(rho)
-    it = 0
-    res = np.inf
-    for it in range(1, max_iter + 1):
-        rho = np.exp(u)
-        grad = ground_gradient(G, spec, np.maximum(rho, RHO_FLOOR))
-        nu_hat, res = _kkt(grad, rho / rho.sum())
-        if res <= tol or not np.isfinite(res):
-            break
-        F = np.concatenate([grad - nu, [rho.sum() - 1.0]])
-        # the bordered system [[H diag(rho), -1], [rho^T, 0]]: d grad / d u = H diag(rho)
-        rows, cols, vals = static_hessian_entries(G, spec, rho)
-        J = dense(np.concatenate([rows, nodes, border]), np.concatenate([cols, border, nodes]),
-                  np.concatenate([vals, np.full(n, -1.0), rho]), n + 1)
-        J[:n, :n] *= rho
-        try:
-            d = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(J, -F, rcond=None)[0]
-        du = np.clip(d[:n], -20.0, 20.0)
-        dnu = d[n]
-        f0 = np.abs(F).max()
-        t = 1.0
-        while t > 1e-12:
-            rt = np.exp(u + t * du)
-            if rt.min() <= 0 or not np.isfinite(rt).all():
-                t *= 0.5
-                continue
-            gt = ground_gradient(G, spec, np.maximum(rt, RHO_FLOOR))
-            Ft = np.concatenate([gt - (nu + t * dnu), [rt.sum() - 1.0]])
-            if np.abs(Ft).max() < f0:
-                break
-            t *= 0.5
-        u += t * du
-        nu += t * dnu
-    rho = np.exp(u)
-    rho /= rho.sum()
-    return rho, res, it
+        stalled = 0 if res < best or moved >= STALL_STEP else stalled + 1
+        best = min(best, res)
+    return rho, energy, nu, res, (it, products, fallbacks)
 
 
 def solve_ground_state(
     G: Graph,
     spec: PotentialSpec,
     tol: float = KKT_TOL,
-    max_iter: int = 10**6,
+    max_iter: int = 1000,
     init=None,
 ) -> GroundStateResult:
     """Minimize over the simplex down to KKT residual max|grad - nu| <= tol.
 
-    Globalization is mirror descent with multiplicative updates (iterates
-    remain interior by construction); if the line search stalls at machine
-    precision of the energy before the tolerance is met, a Newton polish
-    on the stationarity conditions finishes the job.  With positive
-    semidefinite W the objective is strictly convex and the result is the
-    unique ground state; otherwise only a critical point (flagged via
-    ``unique=False`` and NonConvexWarning).
+    Newton-CG in log coordinates (see the module docstring), starting from
+    the uniform density or ``init``.  ``max_iter`` caps the outer
+    iterations; a solve also stops when it stalls (see ``_newton_phase``),
+    which bounds one that roundoff keeps from ``tol``.  Either stop short
+    of ``tol`` raises MaxIterations carrying the last iterate, which is
+    finite and normalized.  With positive semidefinite W the objective is
+    strictly convex and the result is the unique ground state; otherwise
+    only a critical point (flagged via ``unique=False`` and
+    NonConvexWarning).
     """
     if init is None:
         rho = np.full(G.n, 1.0 / G.n)
@@ -204,14 +291,9 @@ def solve_ground_state(
             NonConvexWarning,
         )
 
-    rho, energy, nu, res, it = _mirror_phase(G, spec, rho, tol, max_iter)
-    if not res <= tol:
-        rho, res, polish_it = _newton_phase(G, spec, rho, nu, tol)
-        it += polish_it
-        energy = ground_energy(G, spec, rho)
-        grad = ground_gradient(G, spec, rho)
-        nu, res = _kkt(grad, rho)
-    result = GroundStateResult(rho, nu, energy, res, it, unique)
+    rho, energy, nu, res, (it, products, fallbacks) = _newton_phase(G, spec, rho, tol, max_iter)
+    result = GroundStateResult(rho, nu, energy, res, it, unique,
+                               cg_products=products, fallback_steps=fallbacks)
     if not res <= tol:
         raise MaxIterations(
             f"KKT residual {res:.3g} > {tol:.3g} after {it} iterations", result=result

@@ -747,3 +747,31 @@ def test_verify_seed_reproducible(tmp_path):
     assert run(["verify", "--config", path, "--out", str(out_a)]) == 0
     assert run(["verify", "--config", path, "--out", str(out_b)]) == 0
     assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
+
+
+def test_ground_state_fine_trap_writes_its_results(tmp_path):
+    # the [-8, 8], n = 160 trap once exited 2 on a NaN iterate with no
+    # ground_state.json; CI runs this with RuntimeWarning as an error
+    cfg = ground_state_config(graph={"builder": "path", "n": 160, "x_min": -8.0, "x_max": 8.0})
+    out = tmp_path / "out"
+    assert run(["ground-state", "--config", write_config(tmp_path, "c.json", cfg),
+                "--out", str(out)]) == 0
+    [entry] = json.loads((out / "ground_state.json").read_text())["results"]
+    assert "error" not in entry and entry["kkt_residual"] <= 1e-10
+    assert entry["iterations"] > 0 and entry["cg_products"] > 0 and entry["fallback_steps"] == 0
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        [0.0, 0.25, 0.25, 0.25, 0.25],
+        [-0.5, 0.5, 0.5, 0.25, 0.25],
+        [float("nan"), 0.25, 0.25, 0.25, 0.25],
+        [float("inf"), 0.25, 0.25, 0.25, 0.25],
+    ],
+)
+def test_ground_state_bad_init_is_a_config_error(tmp_path, capsys, init):
+    path = write_config(tmp_path, "c.json", ground_state_config(init=init))
+    assert run(["ground-state", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out" / "ground_state.json").exists()

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,3 +199,109 @@ def test_newton_polish_assembles_one_bordered_matrix(monkeypatch):
         tracemalloc.stop()
     assert polished and res.kkt_residual <= 1e-10
     assert peak < 2.5 * (G.n + 1) ** 2 * 8
+
+
+def harmonic_trap(n, x_min, x_max, h):
+    G = build_path_lattice(n, x_min, x_max)
+    spec = potentials_from_dict(
+        {"V": {"kind": "harmonic", "coefficient": 0.5}, "W": {"kind": "zero"}, "h": h},
+        n=G.n, coords=G.coords,
+    )
+    return G, spec
+
+
+def test_fine_trap_with_deep_tails_converges_without_overflow():
+    # the 1e-26 tails once overflowed rho**2 in the Fisher Hessian: a NaN
+    # iterate, then "density has a non-finite entry" and no result at all
+    G, spec = harmonic_trap(160, -8.0, 8.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_ground_state(G, spec)
+    assert res.kkt_residual <= 1e-10 and eigen_residual(G, spec, res) <= 1e-8
+    assert res.rho_g.min() < 1e-20 and abs(res.rho_g.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, x_min, x_max, h, max_iterations",
+    [
+        (320, -5.0, 5.0, 0.5, 1000),
+        (320, -5.0, 5.0, 1.0, 200),
+        (81, -8.0, 8.0, 1.0, 1000),
+        (20, -5.0, 5.0, 0.005, 1000),  # the pinned harmonic_lattice graph
+        (20, -5.0, 5.0, 0.002, 1000),
+        (20, -5.0, 5.0, 0.001, 1000),
+    ],
+)
+def test_traps_at_fine_resolution_and_small_h_converge(n, x_min, x_max, h, max_iterations):
+    G, spec = harmonic_trap(n, x_min, x_max, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_ground_state(G, spec)
+    assert res.kkt_residual <= 1e-10 and res.iterations <= max_iterations
+    assert eigen_residual(G, spec, res) <= 1e-8
+    rho = res.rho_g
+    assert np.abs(rho - rho[::-1]).max() < 1e-8 and np.argmax(rho) in (n // 2 - 1, n // 2)
+
+
+def trap_32x32(h):
+    G = build_torus([32, 32])
+    x, y = G.coords.T
+    return G, PotentialSpec(5e-4 * ((x - 15.5) ** 2 + (y - 15.5) ** 2), np.ones(G.n), h)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_solver_work_is_recorded(h):
+    G, spec = trap_32x32(h)
+    res = solve_ground_state(G, spec)
+    assert res.kkt_residual <= 1e-10
+    assert 0 < res.iterations <= 100 and res.cg_products > res.iterations
+    assert res.fallback_steps == 0
+
+
+def test_failed_newton_step_falls_back_to_a_mirror_step(monkeypatch):
+    G, spec = harmonic_trap(20, -5.0, 5.0, 1.0)
+    real = ground_state._newton_direction
+    calls = []
+
+    def uphill_once(*args):
+        du, products = real(*args)
+        calls.append(None)
+        return (-du if len(calls) == 1 else du), products
+
+    monkeypatch.setattr(ground_state, "_newton_direction", uphill_once)
+    res = solve_ground_state(G, spec)
+    assert res.fallback_steps == 1 and res.kkt_residual <= 1e-10
+
+
+@pytest.mark.parametrize("n, x_min, x_max, h", [(160, -8.0, 8.0, 1.0), (20, -5.0, 5.0, 0.001)])
+def test_unreachable_tolerance_stops_on_a_stall(n, x_min, x_max, h):
+    # roundoff keeps the KKT residual near 1e-13; the solve stops on its
+    # own long before max_iter, with its last iterate
+    G, spec = harmonic_trap(n, x_min, x_max, h)
+    with pytest.raises(MaxIterations) as info:
+        solve_ground_state(G, spec, tol=1e-17, max_iter=5000)
+    partial = info.value.result
+    assert partial.iterations < 1000 and partial.kkt_residual < 1e-10
+    assert np.isfinite(partial.rho_g).all() and abs(partial.rho_g.sum() - 1.0) < 1e-12
+
+
+def test_log_hessian_is_the_density_scaled_static_hessian(rng):
+    from graph_nls.energy import static_hessian, static_log_hessian_entries
+    from graph_nls.graph import dense
+
+    for _ in range(5):
+        G = random_connected_graph(rng)
+        rho = random_interior(rng, G.n)
+        A = rng.normal(0.0, 0.5, (G.n, G.n))
+        for W in (rng.uniform(-1.0, 1.0, G.n), A @ A.T / G.n):
+            spec = PotentialSpec(rng.normal(0.0, 1.0, G.n), W, 0.7)
+            scaled = rho[:, None] * static_hessian(G, spec, rho) * rho[None, :]
+            log_h = dense(*static_log_hessian_entries(G, spec, rho), G.n)
+            assert np.abs(log_h - scaled).max() <= 1e-13 * np.abs(scaled).max()
+    # no entry divides by rho: a density of 1e-200 leaves every entry finite
+    G = cycle_graph(4)
+    rho = np.array([1e-200, 0.5, 0.5, 1e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, cols, vals = static_log_hessian_entries(G, PotentialSpec.gpe(4, 1.0), rho)
+    assert np.isfinite(vals).all()

@@ -30,7 +30,8 @@ from .dynamics import (
     simulate,
 )
 from .graph import GRAPH_KEYS, Graph, build_graph, build_path_lattice, build_torus, load_graph_json
-from .ground_state import KKT_TOL, _kkt, eigen_residual, ground_gradient, solve_ground_state
+from .ground_state import (KKT_TOL, _kkt, check_solver_settings, eigen_residual,
+                           ground_gradient, solve_ground_state)
 from .io import trajectory_summary, write_csv, write_json, write_trajectory_csv
 from .stability import (
     gpe_spectrum_closed_form,
@@ -209,6 +210,7 @@ def cmd_ground_state(cfg_path, out_dir) -> int:
             "iterations": res.iterations,
             "cg_products": res.cg_products,
             "fallback_steps": res.fallback_steps,
+            "stop_reason": res.stop_reason,
             "unique": res.unique,
         }
         if failed is not None:
@@ -238,6 +240,7 @@ def cmd_stability(cfg_path, out_dir) -> int:
         G = _graph(data["graph"])
         spec = _potentials(data["potentials"], G)
     tol = data.get("tol", KKT_TOL)
+    check_solver_settings(tol)  # also bounds the stationarity check of a given rho_g
     rho_g = data.get("rho_g", "solve")
     if isinstance(rho_g, str):
         try:

@@ -160,7 +160,7 @@ def _jacobian_entries(G: Graph, spec: PotentialSpec, state: SystemState):
     c = G.weights * edge_means(G, rho)  # L(rho) = D^T diag(c) D
     a = G.div(half_w_dS)
     A = G.edge_entries(a, half_w_dS, -half_w_dS)
-    L = G.edge_entries(G.sum_ends(c), -c, -c)
+    L = G.laplacian_entries(c)
     H = static_hessian_entries(G, spec, rho)
     minus_At = G.edge_entries(-a, half_w_dS, -half_w_dS)
     return (np.concatenate([A[0], L[0], n + H[0], n + minus_At[0]]),

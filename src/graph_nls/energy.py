@@ -4,9 +4,12 @@ Fisher information, the linear and interaction potentials, the energy
 terms that every functional combines (the Hamiltonian H(rho, S), the
 ground energy, the action and normalization integrands), and the
 kinetic/potential/interaction split of the wave-form energy.  The
-closed-form gradient and Hessian of the Fisher information are the
-hand-differentiated formulas; the test suite cross-checks them against
-finite differences.
+closed-form gradient of the Fisher information is the hand-differentiated
+formula.  One builder, ``static_log_hessian_entries``, forms the Hessian of
+the static energy, as diag(rho) H diag(rho): a Laplacian over the edges
+plus W, with no 1/rho in it.  The Hessians in rho divide its entries by
+rho_row rho_col.  The test suite cross-checks both against finite
+differences.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import as_is, floats, number, read_kind, read_section
-from .errors import ConfigError, NonInteriorDensity, ZeroModulus
-from .graph import Graph, dense, edge_means, grad
+from .errors import ConfigError, ZeroModulus
+from .graph import Graph, check_interior, dense, edge_means, grad
 
 __all__ = [
     "PotentialSpec",
@@ -26,7 +29,6 @@ __all__ = [
     "fisher_information",
     "fisher_gradient",
     "fisher_hessian",
-    "fisher_hessian_entries",
     "potential_energy",
     "interaction_energy",
     "interaction_times",
@@ -40,10 +42,6 @@ __all__ = [
     "wave_energy_components",
     "potentials_from_dict",
 ]
-
-# Densities below this are treated as boundary points: log() would still be
-# finite but the dynamics is meaningless there.
-INTERIOR_FLOOR = 1e-300
 
 MASS_TOL = 1e-12
 
@@ -99,20 +97,6 @@ class PotentialSpec:
         return cls(np.zeros(n), np.full(n, float(alpha)), h)
 
 
-def check_interior(rho, n=None):
-    rho = np.asarray(rho, dtype=float)
-    if n is not None and rho.shape != (n,):
-        raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
-    # a NaN or -inf fails the first test, a +inf the second
-    if not rho.min() >= INTERIOR_FLOOR or rho.max() == np.inf:
-        if not np.isfinite(rho).all():
-            raise NonInteriorDensity("density has a non-finite entry")
-        raise NonInteriorDensity(
-            f"density entry {rho.min():.3g} is at the simplex boundary"
-        )
-    return rho
-
-
 def edge_density(rho, edge) -> float:
     """Mean of the endpoint densities on one edge."""
     j, l = edge
@@ -157,22 +141,10 @@ def _fisher_conductances(G: Graph, rho) -> np.ndarray:
     return G.weights * (G.diff(rho) * G.diff(np.log(rho)) + (rho[G.ej] + rho[G.el]))
 
 
-def fisher_hessian_entries(G: Graph, rho):
-    """The Hessian of I as (rows, cols, vals) entries, O(n + m) of them.
-
-    diag(1/rho) D^T diag(w t) D diag(1/rho) with the conductances w t of
-    ``_fisher_conductances``; the edge value sits at both (ej, el) and
-    (el, ej), so a product with the Hessian costs O(n + m).
-    """
-    rho = check_interior(rho, G.n)
-    wt = _fisher_conductances(G, rho)
-    off = -wt / (rho[G.ej] * rho[G.el])
-    return G.edge_entries(G.sum_ends(wt) / rho**2, off, off)
-
-
 def fisher_hessian(G: Graph, rho) -> np.ndarray:
-    """Dense n x n Hessian of I."""
-    return dense(*fisher_hessian_entries(G, rho), G.n)
+    """Dense n x n Hessian of I: the conductance Laplacian over rho_j rho_l."""
+    rho = check_interior(rho, G.n)
+    return G.laplacian(_fisher_conductances(G, rho)) / np.outer(rho, rho)
 
 
 def potential_energy(spec: PotentialSpec, rho) -> float:
@@ -200,43 +172,33 @@ def static_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
     return spec.h**2 / 8.0 * fisher_gradient(G, rho) + spec.V + interaction_times(spec, rho)
 
 
-def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
-    """Hessian (h^2/8) Hess I + W of the static energy as (rows, cols, vals).
-
-    A diagonal W is added to the diagonal values; a dense W appends its
-    nonzeros, so the entries stay O(n + m) plus those.
-    """
-    rows, cols, vals = fisher_hessian_entries(G, rho)
-    vals *= spec.h**2 / 8.0
-    w = spec.interaction
-    if w.ndim == 1:
-        vals[: G.n] += w
-        return rows, cols, vals
-    r, s = np.nonzero(w)
-    return np.concatenate([rows, r]), np.concatenate([cols, s]), np.concatenate([vals, w[r, s]])
-
-
 def static_log_hessian_entries(G: Graph, spec: PotentialSpec, rho):
     """diag(rho) H diag(rho) of the static Hessian H = (h^2/8) Hess I + W.
 
     The Hessian of the static energy in the coordinates u = log rho is this
     plus diag(rho grad).  Its Fisher part is the Laplacian with conductances
     (h^2/8) w t, so no entry divides by rho and a vanishing density cannot
-    overflow it.  The first n values are the whole diagonal, W's included,
-    and a dense W appends its off-diagonal nonzeros, so a diagonal W gives
-    the same entries in either form.
+    overflow it.  A diagonal W is added to the first n values; a dense W
+    appends all of its nonzeros, so the entries stay O(n + m) plus those.
     """
     rho = check_interior(rho, G.n)
-    c = spec.h**2 / 8.0 * _fisher_conductances(G, rho)
+    rows, cols, vals = G.laplacian_entries(spec.h**2 / 8.0 * _fisher_conductances(G, rho))
     w = spec.interaction
-    diagonal = w if w.ndim == 1 else np.diagonal(w)
-    rows, cols, vals = G.edge_entries(G.sum_ends(c) + diagonal * rho * rho, -c, -c)
     if w.ndim == 1:
+        vals[: G.n] += w * rho * rho
         return rows, cols, vals
     r, s = np.nonzero(w)
-    r, s = r[r != s], s[r != s]
     return (np.concatenate([rows, r]), np.concatenate([cols, s]),
             np.concatenate([vals, rho[r] * w[r, s] * rho[s]]))
+
+
+def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
+    """Hessian (h^2/8) Hess I + W of the static energy as (rows, cols, vals):
+    the entries of ``static_log_hessian_entries`` over rho_row rho_col."""
+    rho = check_interior(rho, G.n)
+    rows, cols, vals = static_log_hessian_entries(G, spec, rho)
+    vals /= rho[rows] * rho[cols]
+    return rows, cols, vals
 
 
 def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:

@@ -10,9 +10,10 @@ Every operator is built from the signed incidence matrix D (m x n) with
 D[e, ej[e]] = +1 and D[e, el[e]] = -1, which is never stored.  The Graph
 methods apply it over the edge arrays: ``diff`` is D x (x_j - x_l per
 edge), ``div`` is D^T f (+f at the lower endpoint, -f at the higher one),
-``sum_ends`` is |D|^T f (f added at both endpoints), and ``laplacian(c)``
-assembles D^T diag(c) D densely through ``edge_matrix``.  With c = w g this
-is the transport metric L(rho), and grad = sqrt(w) D S.
+``sum_ends`` is |D|^T f (f added at both endpoints), and
+``laplacian_entries(c)`` is D^T diag(c) D as entries, which ``laplacian(c)``
+assembles densely.  With c = w g this is the transport metric L(rho), and
+grad = sqrt(w) D S.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "build_graph",
     "build_path_lattice",
     "build_torus",
+    "check_interior",
     "dense",
     "grad",
     "divergence",
@@ -101,15 +103,40 @@ class Graph:
         """Dense form of ``edge_entries``."""
         return dense(*self.edge_entries(diag, upper, lower), self.n)
 
+    def laplacian_entries(self, c: np.ndarray):
+        """D^T diag(c) D for per-edge conductances c, as ``edge_entries``."""
+        return self.edge_entries(self.sum_ends(c), -c, -c)
+
     def laplacian(self, c: np.ndarray) -> np.ndarray:
-        """D^T diag(c) D for per-edge conductances c."""
-        return self.edge_matrix(self.sum_ends(c), -c, -c)
+        """Dense form of ``laplacian_entries``."""
+        return dense(*self.laplacian_entries(c), self.n)
 
 
 def dense(rows, cols, vals, size) -> np.ndarray:
     """The size x size matrix of (rows, cols, vals) entries, the one format of
     every matrix over the nodes: a repeated (row, col) pair adds up."""
     return np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
+
+
+# Densities below this are treated as boundary points: log() would still be
+# finite but the dynamics is meaningless there.
+INTERIOR_FLOOR = 1e-300
+
+
+def check_interior(rho, n=None) -> np.ndarray:
+    """rho as a float array, checked to have shape (n,) and every entry
+    finite and at least INTERIOR_FLOOR."""
+    rho = np.asarray(rho, dtype=float)
+    if n is not None and rho.shape != (n,):
+        raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
+    # a NaN or -inf fails the first test, a +inf the second
+    if not rho.min() >= INTERIOR_FLOOR or rho.max() == np.inf:
+        if not np.isfinite(rho).all():
+            raise NonInteriorDensity("density has a non-finite entry")
+        raise NonInteriorDensity(
+            f"density entry {rho.min():.3g} is at the simplex boundary"
+        )
+    return rho
 
 
 def _check_connected(n, ej, el):
@@ -239,8 +266,7 @@ def divergence(G: Graph, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     semidefinite, so the operator is the negative of the continuum
     divergence.  The result always sums to zero over the nodes.
     """
-    if np.min(rho) <= 0:
-        raise NonInteriorDensity("density must be strictly positive")
+    rho = check_interior(rho, G.n)
     if len(v) != G.m:
         raise ConfigError("edge field length mismatch")
     return G.div(G.sqrt_weights * v * edge_means(G, rho))
@@ -248,8 +274,7 @@ def divergence(G: Graph, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def inner_product(G: Graph, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> float:
     """Weighted inner product (v, u)_rho = sum_e v_e u_e g_e over edges."""
-    if np.min(rho) <= 0:
-        raise NonInteriorDensity("density must be strictly positive")
+    rho = check_interior(rho, G.n)
     if len(v) != G.m or len(u) != G.m:
         raise ConfigError("edge field length mismatch")
     return float(np.sum(v * u * edge_means(G, rho)))

@@ -7,7 +7,8 @@ truncated, diagonally preconditioned conjugate-gradient solve of the
 Newton system projected onto sum(delta rho) = 0, applied matrix-free in
 O(n + m) per product (Steihaug 1983; Nocedal & Wright, Alg. 7.1).  Armijo
 backtracking on the energy, with an allowance for its roundoff, globalizes
-it; a mirror-descent step is the fallback when the Newton direction fails.
+it.  Where the Newton direction fails, the same backtracking along
+-(grad - nu) in u, a mirror-descent step, is the fallback.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterations
+from .errors import ConfigError, MaxIterations
 from .energy import (
     PotentialSpec,
     check_interior,
@@ -31,6 +32,7 @@ from .graph import Graph
 
 __all__ = [
     "GroundStateResult",
+    "check_solver_settings",
     "ground_energy",
     "ground_gradient",
     "solve_ground_state",
@@ -58,6 +60,13 @@ class GroundStateResult:
     unique: bool = True  # False when W is not positive semidefinite
     cg_products: int = 0  # Hessian products of all the CG solves
     fallback_steps: int = 0  # mirror steps taken where a Newton step failed
+    stop_reason: str = "tolerance"  # or "max_iter", "stall", "no_step", "non_finite"
+
+
+def check_solver_settings(tol: float, max_iter: int = 1) -> None:
+    """A ConfigError unless ``tol`` is positive and finite and ``max_iter`` >= 1."""
+    if not 0 < tol < math.inf or max_iter < 1:  # a NaN tol fails the first test
+        raise ConfigError(f"need a positive, finite tol and max_iter >= 1, got {tol}, {max_iter}")
 
 
 def min_interaction_eigenvalue(W) -> float:
@@ -92,7 +101,7 @@ LOG_STEP_CAP = 5.0
 RHO_FLOOR = 1e-290
 # an energy rise within this relative roundoff counts as no rise
 ENERGY_ROUNDOFF = 1e-14
-# backtracking halvings of a Newton step before the mirror fallback
+# backtracking halvings of one line search
 NEWTON_HALVINGS = 30
 # CG products allowed for one Newton direction
 CG_MAX_PRODUCTS = 200
@@ -120,13 +129,13 @@ def _newton_direction(G, spec, rho, dg, target):
     n = G.n
     rows, cols, vals = static_log_hessian_entries(G, spec, rho)
     curv = rho * dg
-    vals[:n] += curv  # the whole diagonal; the off-diagonal entries follow
+    vals[:n] += curv  # the diagonal; the edges and a dense W's entries follow
     w = spec.interaction
     # each diagonal term by its size: the Fisher term as the sum of its
-    # edges (plus the row sums of a dense W's off-diagonal part), rho^2 |W_jj|
-    # and |rho dg|
+    # edges, a dense W by the row sums of its sizes, a diagonal W as
+    # rho^2 |W_jj|, and |rho dg|
     m = (np.bincount(rows[n:], np.abs(vals[n:]), n)
-         + np.abs(w if w.ndim == 1 else np.diagonal(w)) * rho * rho + np.abs(curv))
+         + (np.abs(w) * rho * rho if w.ndim == 1 else 0.0) + np.abs(curv))
     inv_m = 1.0 / np.maximum(m, np.finfo(float).tiny)
     q = inv_m * rho
     q /= rho @ q
@@ -172,26 +181,6 @@ def _newton_direction(G, spec, rho, dg, target):
     return best_x, products
 
 
-def _mirror_phase(G, spec, rho, energy, dg, eta):
-    """One mirror-descent step rho <- rho exp(-eta dg) / Z, the Newton fallback.
-
-    Armijo backtracking on eta demands a strict energy decrease; returns
-    (rho, energy, eta for the next step), or None when the energy is flat
-    to machine precision along the mirror direction.
-    """
-    while eta >= 1e-18:
-        z = np.clip(-eta * dg, -LOG_STEP_CAP, LOG_STEP_CAP)
-        new = rho * np.exp(z - z.max())
-        new = np.maximum(new, RHO_FLOOR)
-        new /= new.sum()
-        new_energy = ground_energy(G, spec, new)
-        pred = ARMIJO_SLOPE * min(float(dg @ (new - rho)), 0.0)
-        if new_energy <= energy + pred and new_energy < energy:
-            return new, new_energy, 1.5 * eta
-        eta *= 0.5
-    return None
-
-
 def _newton_step(G, spec, rho, energy, du, slope):
     """Armijo backtracking along du from t = 1 (capped at LOG_STEP_CAP).
 
@@ -217,21 +206,27 @@ def _newton_step(G, spec, rho, energy, du, slope):
     return None
 
 
+def _mirror_phase(G, spec, rho, energy, dg):
+    """The fallback where a Newton step fails: ``_newton_step`` along
+    du = -dg, which is a mirror-descent step rho exp(-t dg) / Z."""
+    return _newton_step(G, spec, rho, energy, -dg, -float((rho * dg) @ dg))
+
+
 def _newton_phase(G, spec, rho, tol, max_iter):
     """Newton-CG in u = log rho from rho until KKT ``tol``, ``max_iter`` or a stall.
 
     Returns (rho, energy, nu, residual, (iterations, products, fallback
-    steps)), where products counts the Hessian products of every CG solve.
-    Far from the minimizer a tail can take many steps of order one in u
-    while the KKT residual stays put, so a stall is STALL_ITERATIONS
-    iterations without a new smallest residual and without such a step.  A
-    non-finite residual stops the loop at the last (finite) iterate, as
-    does a mirror fallback that finds the energy flat.
+    steps), stop reason), where products counts the Hessian products of
+    every CG solve.  Where the Newton step fails, ``_mirror_phase`` backtracks
+    along -(grad - nu) under the same Armijo test.  Far from the minimizer a
+    tail can take many steps of order one in u while the KKT residual stays
+    put, so a stall is STALL_ITERATIONS iterations without a new smallest
+    residual and without such a step.  A non-finite residual stops the loop
+    at the last (finite) iterate, as does a fallback that finds no step.
     """
     energy = ground_energy(G, spec, rho)
     grad = ground_gradient(G, spec, rho)
     nu, res = _kkt(grad, rho)
-    eta = 1.0 / (1.0 + np.abs(grad).max())
     best, stalled = res, 0
     it = products = fallbacks = 0
     while not res <= tol and math.isfinite(res) and it < max_iter and stalled < STALL_ITERATIONS:
@@ -243,19 +238,19 @@ def _newton_phase(G, spec, rho, tol, max_iter):
         step = _newton_step(G, spec, rho, energy, du, slope) if slope < 0 else None
         if step is None:
             fallbacks += 1
-            step = _mirror_phase(G, spec, rho, energy, dg, eta)
+            step = _mirror_phase(G, spec, rho, energy, dg)
             if step is None:
-                break
-            new, energy, eta = step
-        else:
-            new, energy = step
+                return rho, energy, nu, res, (it, products, fallbacks), "no_step"
+        new, energy = step
         moved = float(np.abs(np.log(new / rho)).max())
         rho = new
         grad = ground_gradient(G, spec, rho)
         nu, res = _kkt(grad, rho)
         stalled = 0 if res < best or moved >= STALL_STEP else stalled + 1
         best = min(best, res)
-    return rho, energy, nu, res, (it, products, fallbacks)
+    reason = ("tolerance" if res <= tol else "non_finite" if not math.isfinite(res)
+              else "max_iter" if it >= max_iter else "stall")
+    return rho, energy, nu, res, (it, products, fallbacks), reason
 
 
 def solve_ground_state(
@@ -268,15 +263,18 @@ def solve_ground_state(
     """Minimize over the simplex down to KKT residual max|grad - nu| <= tol.
 
     Newton-CG in log coordinates (see the module docstring), starting from
-    the uniform density or ``init``.  ``max_iter`` caps the outer
-    iterations; a solve also stops when it stalls (see ``_newton_phase``),
-    which bounds one that roundoff keeps from ``tol``.  Either stop short
-    of ``tol`` raises MaxIterations carrying the last iterate, which is
-    finite and normalized.  With positive semidefinite W the objective is
-    strictly convex and the result is the unique ground state; otherwise
-    only a critical point (flagged via ``unique=False`` and
-    NonConvexWarning).
+    the uniform density or ``init``.  A ``tol`` that is not positive and
+    finite, or a ``max_iter`` below 1, is a ConfigError.  ``max_iter`` caps
+    the outer iterations; a solve also stops when it stalls (see
+    ``_newton_phase``), which bounds one that roundoff keeps from ``tol``,
+    when the fallback finds no step, or at a non-finite residual.  A stop
+    short of ``tol`` raises MaxIterations that names its ``stop_reason``
+    and carries the last iterate, which is finite and normalized.  With
+    positive semidefinite W the objective is strictly convex and the result
+    is the unique ground state; otherwise only a critical point (flagged
+    via ``unique=False`` and NonConvexWarning).
     """
+    check_solver_settings(tol, max_iter)
     if init is None:
         rho = np.full(G.n, 1.0 / G.n)
     else:
@@ -291,12 +289,13 @@ def solve_ground_state(
             NonConvexWarning,
         )
 
-    rho, energy, nu, res, (it, products, fallbacks) = _newton_phase(G, spec, rho, tol, max_iter)
-    result = GroundStateResult(rho, nu, energy, res, it, unique,
-                               cg_products=products, fallback_steps=fallbacks)
+    rho, energy, nu, res, (it, products, fallbacks), reason = _newton_phase(
+        G, spec, rho, tol, max_iter)
+    result = GroundStateResult(rho, nu, energy, res, it, unique, products, fallbacks, reason)
     if not res <= tol:
         raise MaxIterations(
-            f"KKT residual {res:.3g} > {tol:.3g} after {it} iterations", result=result
+            f"KKT residual {res:.3g} > {tol:.3g}: stopped on {reason} after {it} iterations",
+            result=result,
         )
     return result
 

@@ -443,6 +443,15 @@ def dispersion_config(**overrides):
         ("dispersion", dispersion_config(h=1.0)),
         ("ground-state", ground_state_config(
             potentials={"V": {"kind": "harmonic"}, "W": {"kind": "zero"}, "h": 0.5})),
+        # a solver tolerance that is not positive and finite, and an
+        # iteration cap below 1, are rejected before any solve
+        ("ground-state", ground_state_config(tol=0)),
+        ("ground-state", ground_state_config(tol=-1e-10)),
+        ("ground-state", ground_state_config(tol=float("nan"))),
+        ("ground-state", ground_state_config(max_iter=0)),
+        ("ground-state", ground_state_config(max_iter=-5)),
+        ("stability", stability_config(tol=-1)),
+        ("stability", stability_config(rho_g="uniform", tol=float("nan"))),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, config):
@@ -775,3 +784,25 @@ def test_ground_state_bad_init_is_a_config_error(tmp_path, capsys, init):
     assert run(["ground-state", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out" / "ground_state.json").exists()
+
+
+@pytest.mark.parametrize("option", [{"tol": 0}, {"max_iter": 0}])
+def test_ground_state_bad_solver_setting_writes_no_artifact(tmp_path, capsys, option):
+    cfg = ground_state_config(h_values=[1.0, 0.5], **option)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["ground-state", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_ground_state_reports_why_each_solve_stopped(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", ground_state_config(h_values=[1.0, 0.5]))
+    assert run(["ground-state", "--config", path, "--out", str(out)]) == 0
+    results = json.loads((out / "ground_state.json").read_text())["results"]
+    assert [entry["stop_reason"] for entry in results] == ["tolerance", "tolerance"]
+    path = write_config(tmp_path, "c.json", ground_state_config(max_iter=1))
+    assert run(["ground-state", "--config", path, "--out", str(out)]) == 2
+    [entry] = json.loads((out / "ground_state.json").read_text())["results"]
+    assert entry["stop_reason"] == "max_iter" and "max_iter" in entry["error"]
+    assert "stopped on max_iter" in capsys.readouterr().err

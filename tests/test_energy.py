@@ -23,7 +23,9 @@ from graph_nls.energy import (
     static_gradient,
     static_hessian,
     static_hessian_entries,
+    static_log_hessian_entries,
 )
+from graph_nls.graph import dense
 from graph_nls.stability import plain_laplacian
 from conftest import (
     cycle_graph,
@@ -319,3 +321,24 @@ def test_static_hessian_entries_match_fd_of_static_gradient(rng, W):
             assert np.abs(Hx - H @ x).max() <= 1e-12 * scale * np.abs(x).sum()
         # a diagonal W adds no entries to the Fisher pattern
         assert len(vals) == n + 2 * G.m + (np.count_nonzero(interaction) if W == "dense" else 0)
+
+
+@pytest.mark.parametrize("W", ["zero", "diagonal", "dense"])
+def test_static_hessian_entries_are_the_log_entries_over_the_density(rng, W):
+    # one builder forms the static Hessian: the entries in rho are those in
+    # u = log rho, at the same places, divided by rho_row rho_col
+    for _ in range(5):
+        G = random_connected_graph(rng)
+        n = G.n
+        A = rng.normal(0.0, 0.5, (n, n))
+        interaction = {"zero": np.zeros(n), "diagonal": rng.uniform(-1.0, 1.0, n),
+                       "dense": A + A.T}[W]
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), interaction, float(rng.uniform(0.3, 1.5)))
+        rho = random_interior(rng, n)
+        rows, cols, vals = static_hessian_entries(G, spec, rho)
+        log_rows, log_cols, log_vals = static_log_hessian_entries(G, spec, rho)
+        assert np.array_equal(rows, log_rows) and np.array_equal(cols, log_cols)
+        scaled = log_vals / (rho[rows] * rho[cols])
+        assert np.abs(vals - scaled).max() <= 1e-15 * np.abs(scaled).max()
+        c = rng.uniform(0.1, 2.0, G.m)
+        assert np.array_equal(G.laplacian(c), dense(*G.laplacian_entries(c), n))

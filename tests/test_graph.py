@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from graph_nls import (
     DisconnectedGraph,
     DuplicateEdge,
+    NonInteriorDensity,
     NonPositiveWeight,
     SelfLoop,
     ConfigError,
@@ -137,6 +138,22 @@ def test_divergence_sums_to_zero(rng):
         rho = random_interior(rng, G.n)
         v = grad(G, rng.normal(0.0, 1.0, G.n))
         assert abs(divergence(G, rho, v).sum()) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "rho, error",
+    [([np.nan, 1.0], NonInteriorDensity), ([0.5, np.inf], NonInteriorDensity),
+     ([0.5, 0.0], NonInteriorDensity), ([0.5, 0.5, 7.0], ConfigError)],
+)
+def test_divergence_and_inner_product_need_an_interior_density_on_the_graph(rho, error):
+    # a NaN density once passed the positivity guard, and a third node on a
+    # 2-node graph was read as nothing
+    G = two_node()
+    v = np.array([1.0])
+    with pytest.raises(error):
+        divergence(G, rho, v)
+    with pytest.raises(error):
+        inner_product(G, rho, v, v)
 
 
 def test_inner_product_two_node():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graph_nls import (
+    ConfigError,
     GraphNLSError,
     MaxIterations,
     PotentialSpec,
@@ -305,3 +306,29 @@ def test_log_hessian_is_the_density_scaled_static_hessian(rng):
         warnings.simplefilter("error", RuntimeWarning)
         rows, cols, vals = static_log_hessian_entries(G, PotentialSpec.gpe(4, 1.0), rho)
     assert np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("tol, max_iter", [(0.0, 1000), (-1e-10, 1000), (np.nan, 1000),
+                                           (np.inf, 1000), (1e-10, 0), (1e-10, -5)])
+def test_bad_tolerance_or_iteration_cap_is_a_config_error(tol, max_iter):
+    G, spec = harmonic_trap(5, -2.0, 2.0, 1.0)
+    with pytest.raises(ConfigError):
+        solve_ground_state(G, spec, tol=tol, max_iter=max_iter)
+
+
+def test_result_says_why_the_solve_stopped(monkeypatch):
+    G, spec = harmonic_trap(20, -5.0, 5.0, 1.0)
+    assert solve_ground_state(G, spec).stop_reason == "tolerance"
+    with pytest.raises(MaxIterations, match="max_iter after 1 iterations") as info:
+        solve_ground_state(G, spec, max_iter=1)
+    assert info.value.result.stop_reason == "max_iter"
+    G, spec = harmonic_trap(20, -5.0, 5.0, 0.001)
+    with pytest.raises(MaxIterations, match="stall") as info:
+        solve_ground_state(G, spec, tol=1e-17, max_iter=5000)
+    assert info.value.result.stop_reason == "stall"
+    monkeypatch.setattr(
+        ground_state, "ground_gradient", lambda G, spec, rho: np.full(G.n, np.nan)
+    )
+    with pytest.raises(MaxIterations, match="non_finite") as info:
+        solve_ground_state(G, spec)
+    assert info.value.result.stop_reason == "non_finite"

@@ -350,6 +350,9 @@ def cmd_verify(cfg_path, out_dir, seed) -> int:
             data = load_config(cfg_path, "verify", keys)
     if seed is not None:
         data["seed"] = seed
+    # numpy's generators take no negative seed
+    if data.get("seed", 0) < 0:
+        raise ConfigError(f'"seed" must be a non-negative integer, got {data["seed"]}')
     report = verify_mod.run_suites(data.get("suites"), **_pick(data, "seed", "tolerances"))
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

@@ -25,7 +25,6 @@ from .graph import Graph, check_interior, dense, edge_means, grad
 __all__ = [
     "PotentialSpec",
     "check_interior",
-    "edge_density",
     "fisher_information",
     "fisher_gradient",
     "fisher_hessian",
@@ -95,12 +94,6 @@ class PotentialSpec:
     def gpe(cls, n: int, alpha: float, h: float = 1.0) -> "PotentialSpec":
         """V = 0, W = alpha * I (discrete Gross-Pitaevskii)."""
         return cls(np.zeros(n), np.full(n, float(alpha)), h)
-
-
-def edge_density(rho, edge) -> float:
-    """Mean of the endpoint densities on one edge."""
-    j, l = edge
-    return 0.5 * (rho[j] + rho[l])
 
 
 def _fisher_sum(G: Graph, rho, g) -> float:

@@ -99,10 +99,6 @@ class Graph:
                 np.concatenate([nodes, self.el, self.ej]),
                 np.concatenate([diag, upper, lower]))
 
-    def edge_matrix(self, diag, upper, lower) -> np.ndarray:
-        """Dense form of ``edge_entries``."""
-        return dense(*self.edge_entries(diag, upper, lower), self.n)
-
     def laplacian_entries(self, c: np.ndarray):
         """D^T diag(c) D for per-edge conductances c, as ``edge_entries``."""
         return self.edge_entries(self.sum_ends(c), -c, -c)

@@ -9,6 +9,7 @@ a pinned tolerance.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -65,11 +66,16 @@ def _battery_state(G: Graph, amp: float, seed: int) -> SystemState:
     return SystemState(rho, S)
 
 
+def _case(seed: int, k: int):
+    """Battery case k: (name, G, spec, initial state)."""
+    name, amp = _BATTERY[k]
+    G = _battery_graph(name)
+    return name, G, PotentialSpec.free(G.n, h=1.0), _battery_state(G, amp, seed)
+
+
 def _battery(seed: int):
-    for name, amp in _BATTERY:
-        G = _battery_graph(name)
-        spec = PotentialSpec.free(G.n, h=1.0)
-        yield name, G, spec, _battery_state(G, amp, seed)
+    for k in range(len(_BATTERY)):
+        yield _case(seed, k)
 
 
 def _random_graph(rng) -> Graph:
@@ -102,25 +108,111 @@ _HORIZONS = {
     "gauge": 1.0,
     "boundary_repulsion": 2.0,
 }
+# the suites that integrate nothing, each run whole as one task
+_WHOLE = ("wave_residual", "hodge", "gradients", "euler_identity")
 # the Trajectory lists that hold one entry per snapshot
 _SNAPSHOTS = ("times", "rhos", "Ss", "mass", "energy", "min_rho", "norm_resid")
+_GAUGE_SHIFT = 0.7
 
 
 def _battery_config(T: float, output_every: int = 100) -> IntegratorConfig:
     return IntegratorConfig(dt=1e-3, T=T, newton_tol=1e-13, output_every=output_every)
 
 
-class BatteryRun:
-    """The battery integrated once at the shared settings, up to ``T``.
+# The integrations of the suites, one battery case each.  They are
+# module-level functions of (seed, case index, ...) so that a worker process
+# can run them.
 
-    The first ``read`` integrates it, so the first suite that reads it
-    carries its cost.  A failed run is recorded once, here, and every
-    suite that reads it fails with its error.
+def _forward(seed: int, k: int, T: float):
+    """Case k integrated at the shared settings up to T."""
+    _, G, spec, state = _case(seed, k)
+    return simulate(G, spec, state, _battery_config(T))
+
+
+def _backward(seed: int, k: int, rho, S):
+    """Case k integrated over reversibility's horizon from (rho, -S)."""
+    _, G, spec, _ = _case(seed, k)
+    cfg = _battery_config(_HORIZONS["reversibility"], output_every=10**9)
+    return simulate(G, spec, SystemState(rho, -S), cfg)
+
+
+def _shifted(seed: int, k: int):
+    """Case k with its potential shifted by _GAUGE_SHIFT, up to gauge's horizon."""
+    _, G, spec, state = _case(seed, k)
+    shifted = replace(spec, V=spec.V + _GAUGE_SHIFT)
+    return simulate(G, shifted, state, _battery_config(_HORIZONS["gauge"]))
+
+
+def _normalized(seed: int, k: int):
+    """Case k up to t = 0.2 with a snapshot at every step."""
+    _, G, spec, state = _case(seed, k)
+    return simulate(G, spec, state, _battery_config(0.2, output_every=1))
+
+
+def _whole(seed: int, name: str) -> dict:
+    """The report of a suite of _WHOLE."""
+    return SUITES[name](seed=seed)
+
+
+class _Done:
+    """The future of a task already run."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+class _InProcess:
+    """An executor that runs each task in the calling process when it is submitted."""
+
+    def submit(self, fn, *args):
+        return _Done(fn(*args))
+
+
+def _cut(name: str, traj, T: float):
+    """(``traj`` cut at time T, None), or (None, why it has no snapshot at T)."""
+    k = int(np.searchsorted(traj.times, T + 1e-9, side="right"))
+    # a halving can move the snapshots off t = T
+    if abs(traj.times[k - 1] - T) > 1e-9:
+        return None, f"{name}: halvings {traj.halving_events} left no snapshot at t = {T:g}"
+    return replace(traj, **{f: getattr(traj, f)[:k] for f in _SNAPSHOTS}), None
+
+
+class BatteryRun:
+    """The integrations of one verify call, each made once, on ``pool``.
+
+    The battery is integrated at the shared settings up to ``T``; every
+    other run is keyed by its function and battery case.  On
+    ``run_suites``' process pool the runs are made in parallel over the
+    CPUs the process may use (``taskset`` limits them; no option does).
+    Without a pool, each run is made in the calling process when it is
+    first asked for.  Either way the same functions make the same runs
+    from the same inputs, so ``verify.json`` is byte for byte that of a
+    one-CPU run.
+
+    The first ``read`` waits for the battery, so the first suite that
+    reads it carries its cost.  A failed run is recorded once, here, and
+    every suite that reads it fails with its error.
     """
 
-    def __init__(self, seed: int, T: float):
+    def __init__(self, seed: int, T: float | None, pool=None):
         self.seed, self.T = seed, T
+        self._pool = pool if pool is not None else _InProcess()
+        self._futures = {}
         self._result = None
+
+    def submit(self, fn, key, *args):
+        """The future of ``fn(seed, key, *args)``, submitted on the first
+        ask for (fn, key)."""
+        if (fn, key) not in self._futures:
+            self._futures[fn, key] = self._pool.submit(fn, self.seed, key, *args)
+        return self._futures[fn, key]
+
+    def forward(self, k: int):
+        """The future of battery case k up to T."""
+        return self.submit(_forward, k, self.T)
 
     def read(self, T: float):
         """(runs, error): (name, G, spec, state, trajectory) for each battery
@@ -132,35 +224,31 @@ class BatteryRun:
             return None, error
         runs = []
         for name, G, spec, state, traj in full:
-            k = int(np.searchsorted(traj.times, T + 1e-9, side="right"))
-            # a halving can move the snapshots off t = T
-            if abs(traj.times[k - 1] - T) > 1e-9:
-                return None, f"{name}: halvings {traj.halving_events} left no snapshot at t = {T:g}"
-            cut = replace(traj, **{f: getattr(traj, f)[:k] for f in _SNAPSHOTS})
+            cut, error = _cut(name, traj, T)
+            if error is not None:
+                return None, error
             runs.append((name, G, spec, state, cut))
         return runs, None
 
     def _integrate(self):
-        cfg = _battery_config(self.T)
         runs = []
-        for name, G, spec, state in _battery(self.seed):
-            traj = simulate(G, spec, state, cfg)
+        for k, (name, G, spec, state) in enumerate(_battery(self.seed)):
+            traj = self.forward(k).result()
             if traj.error is not None:
                 return None, f"{name}: {traj.error}"
             runs.append((name, G, spec, state, traj))
         return runs, None
 
 
-def _battery_runs(suite: str, seed: int, runs: BatteryRun | None):
-    """The battery up to ``suite``'s horizon: from ``runs`` when given,
-    else integrated up to that horizon alone."""
-    T = _HORIZONS[suite]
-    return (runs if runs is not None else BatteryRun(seed, T)).read(T)
+def _own(suite: str, seed: int, runs: BatteryRun | None) -> BatteryRun:
+    """``runs`` when given, else the runs of ``suite`` alone, made in this
+    process, with the battery up to the suite's own horizon."""
+    return runs if runs is not None else BatteryRun(seed, _HORIZONS.get(suite))
 
 
 def check_conservation(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """Mass and total energy along the symplectic integrator."""
-    battery, error = _battery_runs("conservation", seed, runs)
+    battery, error = _own("conservation", seed, runs).read(_HORIZONS["conservation"])
     if error is not None:
         return _report("conservation", np.inf, 1e-8, detail=error)
     worst_mass = worst_energy = 0.0
@@ -177,14 +265,13 @@ def check_conservation(seed: int = 0, runs: BatteryRun | None = None) -> dict:
 
 def check_reversibility(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """Negating S and re-integrating must return to the initial state."""
-    battery, error = _battery_runs("reversibility", seed, runs)
+    runs = _own("reversibility", seed, runs)
+    battery, error = runs.read(_HORIZONS["reversibility"])
     if error is not None:
         return _report("reversibility", np.inf, 1e-6, detail=error)
-    cfg = _battery_config(_HORIZONS["reversibility"], output_every=10**9)
     worst = 0.0
-    for name, G, spec, state, fwd in battery:
-        flipped = SystemState(fwd.rhos[-1], -fwd.Ss[-1])
-        back = simulate(G, spec, flipped, cfg)
+    for k, (name, G, spec, state, fwd) in enumerate(battery):
+        back = runs.submit(_backward, k, fwd.rhos[-1], fwd.Ss[-1]).result()
         if back.error is not None:
             return _report("reversibility", np.inf, 1e-6, detail=f"{name}: {back.error}")
         err = max(
@@ -196,22 +283,21 @@ def check_reversibility(seed: int = 0, runs: BatteryRun | None = None) -> dict:
 
 
 def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
-    """Shifting V by alpha leaves rho unchanged and shifts S by -alpha t."""
-    battery, error = _battery_runs("gauge", seed, runs)
+    """Shifting V by alpha = _GAUGE_SHIFT leaves rho unchanged and shifts S by -alpha t."""
+    runs = _own("gauge", seed, runs)
+    battery, error = runs.read(_HORIZONS["gauge"])
     if error is not None:
         return _report("gauge", np.inf, 1e-8, detail=error)
-    cfg = _battery_config(_HORIZONS["gauge"])
-    alpha = 0.7
     worst = 0.0
-    for name, G, spec, state, a in battery:
-        b = simulate(G, replace(spec, V=spec.V + alpha), state, cfg)
+    for k, (name, G, spec, state, a) in enumerate(battery):
+        b = runs.submit(_shifted, k).result()
         # the identity holds step by step: a halving in one run only breaks it
         if b.error is not None or b.times != a.times:
             why = b.error or f"halvings {a.halving_events} unshifted, {b.halving_events} shifted"
             return _report("gauge", np.inf, 1e-8, detail=f"{name}: {why}")
-        for k in range(len(a)):
-            worst = max(worst, np.abs(a.rhos[k] - b.rhos[k]).max())
-            worst = max(worst, np.abs(b.Ss[k] - (a.Ss[k] - alpha * a.times[k])).max())
+        for i, t in enumerate(a.times):
+            worst = max(worst, np.abs(a.rhos[i] - b.rhos[i]).max())
+            worst = max(worst, np.abs(b.Ss[i] - (a.Ss[i] - _GAUGE_SHIFT * t)).max())
     return _report("gauge", worst, 1e-8)
 
 
@@ -232,12 +318,12 @@ def check_wave_residual(seed: int = 0) -> dict:
     return _report("wave_residual", worst, 1e-8)
 
 
-def check_normalization(seed: int = 0) -> dict:
+def check_normalization(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """d/dt sum_j S_j rho_j matches its closed-form value along the flow."""
-    cfg = _battery_config(0.2, output_every=1)
+    runs = _own("normalization", seed, runs)
     worst = 0.0
-    for name, G, spec, state in _battery(seed):
-        traj = simulate(G, spec, state, cfg)
+    for k, (name, _) in enumerate(_BATTERY):
+        traj = runs.submit(_normalized, k).result()
         if traj.error is not None:
             return _report("normalization", np.inf, 1e-5, detail=f"{name}: {traj.error}")
         worst = max(worst, np.abs(np.asarray(traj.norm_resid)).max())
@@ -327,7 +413,7 @@ def check_euler_identity(seed: int = 0, cases: int = 100) -> dict:
 def check_boundary_repulsion(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     """The Fisher term stays below the conserved energy budget, so the
     density cannot reach the simplex boundary."""
-    battery, error = _battery_runs("boundary_repulsion", seed, runs)
+    battery, error = _own("boundary_repulsion", seed, runs).read(_HORIZONS["boundary_repulsion"])
     if error is not None:
         return _report("boundary_repulsion", np.inf, 1e-10, detail=error)
     worst = -np.inf
@@ -356,23 +442,69 @@ SUITES = {
 }
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_suites(names=None, seed: int = 0, tolerances=None) -> dict:
     """Run the named suites (default: all) and collect a report.
+
+    The integrations run in parallel, one worker process per CPU that the
+    process may use (``taskset`` limits them; no option does).  Each run
+    is made by the same function, from the same inputs, as when its suite
+    is called alone, so the report is byte for byte that of a one-CPU run.
 
     ``tolerances`` maps suite names to overriding tolerances.  An override
     can only tighten a suite: it passes when it passed on its own and its
     worst residual is within the override.
     """
+    # imported here: neither the package nor the other subcommands need them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     if names is None:
         names = list(SUITES)
+    cases = range(len(_BATTERY))
     # the suites that read the battery share one run of it, up to the
     # longest horizon among them, made for this call alone
     horizons = [_HORIZONS[name] for name in names if name in _HORIZONS]
-    runs = BatteryRun(seed, max(horizons)) if horizons else None
-    checks = [
-        SUITES[name](seed=seed, runs=runs) if name in _HORIZONS else SUITES[name](seed=seed)
-        for name in names
-    ]
+    per_case = [fn for name, fn in (("gauge", _shifted), ("normalization", _normalized))
+                if name in names]
+    whole = [name for name in names if name in _WHOLE]
+    tasks = (len(cases) * (bool(horizons) + len(per_case) + ("reversibility" in names))
+             + len(whole))
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    pool = ProcessPoolExecutor(max(1, min(_cpus(), tasks)),
+                               mp_context=multiprocessing.get_context("fork" if fork else None))
+    try:
+        runs = BatteryRun(seed, max(horizons, default=None), pool)
+        # every run is submitted up front, the longest first, except the
+        # backward runs, which start from the forward runs' state at t = 2
+        forward = {runs.forward(k): k for k in cases} if horizons else {}
+        for fn in per_case:
+            for k in cases:
+                runs.submit(fn, k)
+        for name in whole:
+            runs.submit(_whole, name)
+        if "reversibility" in names:
+            for future in as_completed(forward):
+                k = forward[future]
+                traj = future.result()
+                fwd, _ = _cut(_BATTERY[k][0], traj, _HORIZONS["reversibility"])
+                if traj.error is None and fwd is not None:
+                    runs.submit(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
+        checks = [
+            runs.submit(_whole, name).result() if name in _WHOLE
+            else SUITES[name](seed=seed, runs=runs)
+            for name in names
+        ]
+    finally:
+        # after an error the queued runs are dropped; the running ones finish
+        pool.shutdown(cancel_futures=True)
     if tolerances:
         for c in checks:
             if c["name"] in tolerances:

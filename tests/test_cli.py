@@ -743,6 +743,19 @@ def test_verify_empty_suite_list_is_a_config_error(tmp_path, capsys):
     assert not (out / "verify.json").exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "key"])
+def test_verify_negative_seed_is_a_config_error(tmp_path, capsys, how):
+    cfg = {"schema": 1, "command": "verify", "suites": ["hodge"]}
+    if how == "key":
+        cfg["seed"] = -3
+    args = ["--seed", "-1"] if how == "flag" else []
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["verify", "--config", path, "--out", str(out)] + args) == 1
+    assert capsys.readouterr().err.startswith('config error: "seed" must be a non-negative')
+    assert not (out / "verify.json").exists()
+
+
 def test_verify_unknown_suite_rejected(tmp_path):
     cfg = {"schema": 1, "command": "verify", "suites": ["does_not_exist"]}
     path = write_config(tmp_path, "c.json", cfg)

@@ -18,7 +18,6 @@ from graph_nls import (
     SystemState,
 )
 from graph_nls.energy import (
-    edge_density,
     potentials_from_dict,
     static_gradient,
     static_hessian,
@@ -42,12 +41,6 @@ def fd_gradient(f, x, step=1e-5):
         e[j] = step
         g[j] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
-
-
-def test_edge_density_examples():
-    assert edge_density(np.array([0.5, 0.5]), (0, 1)) == 0.5
-    assert edge_density(np.array([0.75, 0.25]), (0, 1)) == 0.5
-    assert edge_density(np.array([0.9, 0.1]), (0, 1)) == pytest.approx(0.5)
 
 
 def test_fisher_uniform_is_zero():

@@ -21,6 +21,7 @@ from graph_nls import (
     save_graph_json,
     weighted_laplacian,
 )
+from graph_nls.graph import dense
 from conftest import two_node, random_connected_graph, random_interior
 
 
@@ -214,7 +215,7 @@ def test_incidence_methods_match_dense_incidence(rng):
         assert np.allclose(G.laplacian(c), D.T @ np.diag(c) @ D, rtol=0, atol=1e-14)
         # skew pattern of the rhs Jacobian's A block: with g = |D| rho / 2,
         # d(D^T diag(w dS) g)/drho = D^T diag(f) |D| for f = w dS / 2
-        A = G.edge_matrix(G.div(f), f, -f)
+        A = dense(*G.edge_entries(G.div(f), f, -f), G.n)
         assert np.allclose(A, D.T @ np.diag(f) @ np.abs(D), rtol=0, atol=1e-14)
 
 

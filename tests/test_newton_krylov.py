@@ -15,7 +15,7 @@ from graph_nls import (
 )
 from graph_nls import dynamics, verify
 from graph_nls.energy import static_hessian
-from graph_nls.graph import edge_means
+from graph_nls.graph import dense, edge_means
 from conftest import random_connected_graph, random_interior
 
 
@@ -23,7 +23,7 @@ def dense_jacobian(G, spec, state):
     """Oracle: J = [[A, L], [-H, -A^T]] assembled block by block, densely."""
     n = G.n
     half_w_dS = 0.5 * G.weights * G.diff(state.S)
-    A = G.edge_matrix(G.div(half_w_dS), half_w_dS, -half_w_dS)
+    A = dense(*G.edge_entries(G.div(half_w_dS), half_w_dS, -half_w_dS), n)
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = A
     J[:n, n:] = G.laplacian(G.weights * edge_means(G, state.rho))

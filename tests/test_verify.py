@@ -1,5 +1,7 @@
 """The verify suites: one shared battery run, and failed runs never pass."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,32 +9,38 @@ from graph_nls import dynamics, verify
 from graph_nls.errors import NewtonDivergence
 
 
-def count_steps(monkeypatch):
-    """Replace dynamics.step with a wrapper that counts its calls."""
+def counter(monkeypatch, before_step):
+    """Replace dynamics.step with a wrapper that counts its calls, in this
+    process and in the worker processes that run_suites forks from it, and
+    calls ``before_step(spec, state, calls)`` with the count so far."""
     real = dynamics.step
-    calls = []
+    calls = multiprocessing.Value("q", 0)
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counted(G, spec, state, cfg, newton=None):
+        with calls.get_lock():
+            calls.value += 1
+            n = calls.value
+        before_step(spec, state, n)
+        return real(G, spec, state, cfg, newton)
 
     monkeypatch.setattr(dynamics, "step", counted)
     return calls
 
 
+def count_steps(monkeypatch):
+    """The shared count of dynamics.step calls; reset it with ``.value = 0``."""
+    return counter(monkeypatch, lambda spec, state, calls: None)
+
+
 def fail_steps(monkeypatch, when):
     """Make every step for which ``when(spec, state, calls)`` holds raise
     NewtonDivergence; ``calls`` counts the steps tried so far."""
-    real = dynamics.step
-    calls = []
 
-    def failing(G, spec, state, cfg, newton=None):
-        calls.append(None)
-        if when(spec, state, len(calls)):
+    def fail(spec, state, calls):
+        if when(spec, state, calls):
             raise NewtonDivergence("injected")
-        return real(G, spec, state, cfg, newton)
 
-    monkeypatch.setattr(dynamics, "step", failing)
+    counter(monkeypatch, fail)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -40,7 +48,7 @@ def test_run_suites_reports_what_each_suite_reports_alone(seed, monkeypatch):
     steps = count_steps(monkeypatch)
     report = verify.run_suites(seed=seed)
     # each of the four battery suites integrating its own run took 54,600
-    assert len(steps) == 39_600
+    assert steps.value == 39_600
     alone = [check(seed=seed) for check in verify.SUITES.values()]
     assert report == {"passed": all(c["passed"] for c in alone), "checks": alone}
     assert report["passed"]
@@ -51,16 +59,16 @@ def test_battery_runs_are_made_per_call_up_to_the_horizons_asked_for(monkeypatch
     # one run to t = 2 serves both, plus gauge's shifted run to t = 1
     # (12,000 when each integrated its own)
     verify.run_suites(["gauge", "boundary_repulsion"])
-    assert len(steps) == 9_000
-    steps.clear()
+    assert steps.value == 9_000
+    steps.value = 0
     # alone, a suite integrates its own horizon, not the longest one
     verify.check_boundary_repulsion()
-    assert len(steps) == 6_000
+    assert steps.value == 6_000
     # nothing is kept from one call to the next
     for _ in range(2):
-        steps.clear()
+        steps.value = 0
         verify.run_suites(["gauge"])
-        assert len(steps) == 6_000
+        assert steps.value == 6_000
 
 
 def assert_failed(check, name):
@@ -133,3 +141,20 @@ def test_gauge_fails_with_the_halving_when_only_the_shifted_run_halves(monkeypat
     assert len(failed) == 1
     assert check["passed"] is False and check["worst"] == np.inf
     assert check["detail"] == f"two_node: halvings [] unshifted, {[(failed[0], 5e-4)]} shifted"
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_run_suites_leaves_no_process_running(where, monkeypatch):
+    verify.run_suites(["euler_identity", "wave_residual"])
+    assert multiprocessing.active_children() == []
+
+    def broken(seed=0, runs=None):
+        raise RuntimeError("broken suite")
+
+    # hodge runs whole in a worker; gauge runs in the caller, its battery
+    # and shifted runs still in flight in the workers when it raises
+    name = {"worker": "hodge", "caller": "gauge"}[where]
+    monkeypatch.setitem(verify.SUITES, name, broken)
+    with pytest.raises(RuntimeError, match="broken suite"):
+        verify.run_suites([name, "euler_identity"])
+    assert multiprocessing.active_children() == []

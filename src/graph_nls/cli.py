@@ -23,13 +23,15 @@ from .config import as_is, floats, integer, number, read_json, read_kind, read_s
 from .energy import PotentialSpec, potentials_from_dict
 from .errors import ConfigError, GraphNLSError, MaxIterations
 from .dynamics import (
+    INITIAL_MASS_TOL,
     IntegratorConfig,
     SystemState,
     from_wave,
     plane_wave_residual,
     simulate,
 )
-from .graph import GRAPH_KEYS, Graph, build_graph, build_path_lattice, build_torus, load_graph_json
+from .graph import (GRAPH_KEYS, INTERIOR_FLOOR, Graph, build_graph, build_path_lattice, build_torus,
+                    load_graph_json)
 from .ground_state import (KKT_TOL, _kkt, check_solver_settings, eigen_residual,
                            ground_gradient, solve_ground_state)
 from .io import trajectory_summary, write_csv, write_json, write_trajectory_csv
@@ -122,22 +124,38 @@ def _potentials(data, G: Graph, h_values=None) -> PotentialSpec:
     return spec
 
 
+def _init_density(value) -> np.ndarray:
+    """A start density: finite and in the simplex interior, as the solvers check it."""
+    rho = floats(value)
+    if not (rho.min() >= INTERIOR_FLOOR and rho.max() < np.inf):  # a NaN fails the first test
+        raise ConfigError(f"every entry must be finite and at least {INTERIOR_FLOOR:g}")
+    return rho
+
+
 def _initial_state(data, G: Graph, h: float) -> SystemState:
-    """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}."""
+    """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}: a
+    density in the simplex interior, of mass 1, and a finite phase."""
     data = _inline(data, "initial")
     if "rho" in data or "S" in data:
-        keys = {"rho": floats, "S": floats}
+        keys = {"rho": _init_density, "S": floats}
         state = SystemState(**read_section(data, "initial", keys, keys))
     else:
         keys = {"psi_re": floats, "psi_im": floats}
         psi = read_section(data, "initial", keys, keys)
-        state = from_wave(psi["psi_re"] + 1j * psi["psi_im"], h)
+        psi = psi["psi_re"] + 1j * psi["psi_im"]
+        try:
+            _init_density(np.abs(psi) ** 2)
+        except ConfigError as exc:
+            raise ConfigError(f"initial |psi|^2: {exc}") from exc
+        state = from_wave(psi, h)
     if state.rho.shape != (G.n,) or state.S.shape != (G.n,):
         raise ConfigError(
             f"initial state has shape {state.rho.shape}/{state.S.shape}, graph has {G.n} nodes"
         )
-    if not (np.isfinite(state.rho).all() and np.isfinite(state.S).all()):
-        raise ConfigError("initial state must be finite")
+    if not np.isfinite(state.S).all():
+        raise ConfigError("initial phase must be finite")
+    if abs(state.rho.sum() - 1.0) > INITIAL_MASS_TOL:
+        raise ConfigError(f"initial mass {state.rho.sum():.12g} != 1")
     return state
 
 
@@ -173,14 +191,6 @@ def _h_values(values) -> list:
     if not isinstance(values, list) or not values:
         raise ConfigError('"h_values" must be a non-empty list')
     return [number(h) for h in values]
-
-
-def _init_density(value) -> np.ndarray:
-    """A start density: finite and strictly positive, normalized by the solver."""
-    rho = floats(value)
-    if not (rho.min() > 0.0 and rho.max() < np.inf):  # a NaN fails the first test
-        raise ConfigError("every entry must be positive and finite")
-    return rho
 
 
 def cmd_ground_state(cfg_path, out_dir) -> int:

@@ -60,6 +60,9 @@ __all__ = [
     "plane_wave_residual",
 ]
 
+# how far from 1 the mass of simulate's initial density may be
+INITIAL_MASS_TOL = 1e3 * MASS_TOL
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -454,7 +457,7 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     else:
         state = initial
     rho = check_interior(state.rho, G.n)
-    if abs(rho.sum() - 1.0) > 1e3 * MASS_TOL:
+    if abs(rho.sum() - 1.0) > INITIAL_MASS_TOL:
         raise NonInteriorDensity(f"initial mass {rho.sum():.12g} != 1")
     state = SystemState(rho, state.S, state.t)
 

@@ -154,23 +154,6 @@ def _whole(seed: int, name: str) -> dict:
     return SUITES[name](seed=seed)
 
 
-class _Done:
-    """The future of a task already run."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
-class _InProcess:
-    """An executor that runs each task in the calling process when it is submitted."""
-
-    def submit(self, fn, *args):
-        return _Done(fn(*args))
-
-
 def _cut(name: str, traj, T: float):
     """(``traj`` cut at time T, None), or (None, why it has no snapshot at T)."""
     k = int(np.searchsorted(traj.times, T + 1e-9, side="right"))
@@ -186,11 +169,12 @@ class BatteryRun:
     The battery is integrated at the shared settings up to ``T``; every
     other run is keyed by its function and battery case.  On
     ``run_suites``' process pool the runs are made in parallel over the
-    CPUs the process may use (``taskset`` limits them; no option does).
-    Without a pool, each run is made in the calling process when it is
-    first asked for.  Either way the same functions make the same runs
-    from the same inputs, so ``verify.json`` is byte for byte that of a
-    one-CPU run.
+    CPUs the process may use (``taskset`` limits them; no option does),
+    and the workers end with that call: a run that no suite has read by
+    then is stopped, not waited for.  Without a pool, each run is made in
+    the calling process when it is asked for.  Either way the same
+    functions make the same runs from the same inputs, so ``verify.json``
+    is byte for byte that of a one-CPU run.
 
     The first ``read`` waits for the battery, so the first suite that
     reads it carries its cost.  A failed run is recorded once, here, and
@@ -199,20 +183,22 @@ class BatteryRun:
 
     def __init__(self, seed: int, T: float | None, pool=None):
         self.seed, self.T = seed, T
-        self._pool = pool if pool is not None else _InProcess()
-        self._futures = {}
+        self._pool = pool
+        self._started = {}
         self._result = None
 
-    def submit(self, fn, key, *args):
-        """The future of ``fn(seed, key, *args)``, submitted on the first
-        ask for (fn, key)."""
-        if (fn, key) not in self._futures:
-            self._futures[fn, key] = self._pool.submit(fn, self.seed, key, *args)
-        return self._futures[fn, key]
+    def start(self, fn, key, *args):
+        """Queue ``fn(seed, key, *args)`` on the pool, once per (fn, key)."""
+        if (fn, key) not in self._started:
+            self._started[fn, key] = self._pool.apply_async(fn, (self.seed, key, *args))
 
-    def forward(self, k: int):
-        """The future of battery case k up to T."""
-        return self.submit(_forward, k, self.T)
+    def result(self, fn, key, *args):
+        """The value of ``fn(seed, key, *args)``: the started run's on the
+        pool, else a run made here."""
+        if self._pool is None:
+            return fn(self.seed, key, *args)
+        self.start(fn, key, *args)
+        return self._started[fn, key].get()
 
     def read(self, T: float):
         """(runs, error): (name, G, spec, state, trajectory) for each battery
@@ -233,7 +219,7 @@ class BatteryRun:
     def _integrate(self):
         runs = []
         for k, (name, G, spec, state) in enumerate(_battery(self.seed)):
-            traj = self.forward(k).result()
+            traj = self.result(_forward, k, self.T)
             if traj.error is not None:
                 return None, f"{name}: {traj.error}"
             runs.append((name, G, spec, state, traj))
@@ -271,7 +257,7 @@ def check_reversibility(seed: int = 0, runs: BatteryRun | None = None) -> dict:
         return _report("reversibility", np.inf, 1e-6, detail=error)
     worst = 0.0
     for k, (name, G, spec, state, fwd) in enumerate(battery):
-        back = runs.submit(_backward, k, fwd.rhos[-1], fwd.Ss[-1]).result()
+        back = runs.result(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
         if back.error is not None:
             return _report("reversibility", np.inf, 1e-6, detail=f"{name}: {back.error}")
         err = max(
@@ -290,7 +276,7 @@ def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
         return _report("gauge", np.inf, 1e-8, detail=error)
     worst = 0.0
     for k, (name, G, spec, state, a) in enumerate(battery):
-        b = runs.submit(_shifted, k).result()
+        b = runs.result(_shifted, k)
         # the identity holds step by step: a halving in one run only breaks it
         if b.error is not None or b.times != a.times:
             why = b.error or f"halvings {a.halving_events} unshifted, {b.halving_events} shifted"
@@ -323,7 +309,7 @@ def check_normalization(seed: int = 0, runs: BatteryRun | None = None) -> dict:
     runs = _own("normalization", seed, runs)
     worst = 0.0
     for k, (name, _) in enumerate(_BATTERY):
-        traj = runs.submit(_normalized, k).result()
+        traj = runs.result(_normalized, k)
         if traj.error is not None:
             return _report("normalization", np.inf, 1e-5, detail=f"{name}: {traj.error}")
         worst = max(worst, np.abs(np.asarray(traj.norm_resid)).max())
@@ -457,54 +443,44 @@ def run_suites(names=None, seed: int = 0, tolerances=None) -> dict:
     process may use (``taskset`` limits them; no option does).  Each run
     is made by the same function, from the same inputs, as when its suite
     is called alone, so the report is byte for byte that of a one-CPU run.
+    The workers end with the call, also when a suite raises: a run that no
+    suite has read by then is stopped, not waited for.
 
     ``tolerances`` maps suite names to overriding tolerances.  An override
     can only tighten a suite: it passes when it passed on its own and its
     worst residual is within the override.
     """
-    # imported here: neither the package nor the other subcommands need them
+    # imported here: neither the package nor the other subcommands need it
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     if names is None:
         names = list(SUITES)
     cases = range(len(_BATTERY))
     # the suites that read the battery share one run of it, up to the
     # longest horizon among them, made for this call alone
-    horizons = [_HORIZONS[name] for name in names if name in _HORIZONS]
-    per_case = [fn for name, fn in (("gauge", _shifted), ("normalization", _normalized))
-                if name in names]
-    whole = [name for name in names if name in _WHOLE]
-    tasks = (len(cases) * (bool(horizons) + len(per_case) + ("reversibility" in names))
-             + len(whole))
+    T = max((_HORIZONS[name] for name in names if name in _HORIZONS), default=None)
+    # every run but the backward ones, the longest first
+    starts = [(_forward, k, T) for k in cases] if T is not None else []
+    starts += [(fn, k) for name, fn in (("gauge", _shifted), ("normalization", _normalized))
+               if name in names for k in cases]
+    starts += [(_whole, name) for name in names if name in _WHOLE]
     fork = "fork" in multiprocessing.get_all_start_methods()
-    pool = ProcessPoolExecutor(max(1, min(_cpus(), tasks)),
-                               mp_context=multiprocessing.get_context("fork" if fork else None))
-    try:
-        runs = BatteryRun(seed, max(horizons, default=None), pool)
-        # every run is submitted up front, the longest first, except the
-        # backward runs, which start from the forward runs' state at t = 2
-        forward = {runs.forward(k): k for k in cases} if horizons else {}
-        for fn in per_case:
-            for k in cases:
-                runs.submit(fn, k)
-        for name in whole:
-            runs.submit(_whole, name)
+    context = multiprocessing.get_context("fork" if fork else None)
+    # leaving the block terminates the workers
+    with context.Pool(max(1, min(_cpus(), len(starts)))) as pool:
+        runs = BatteryRun(seed, T, pool)
+        for run in starts:
+            runs.start(*run)
         if "reversibility" in names:
-            for future in as_completed(forward):
-                k = forward[future]
-                traj = future.result()
-                fwd, _ = _cut(_BATTERY[k][0], traj, _HORIZONS["reversibility"])
-                if traj.error is None and fwd is not None:
-                    runs.submit(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
+            # the backward runs start from the forward runs' state at t = 2
+            battery, _ = runs.read(_HORIZONS["reversibility"])
+            for k, (*_, fwd) in enumerate(battery or ()):
+                runs.start(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
         checks = [
-            runs.submit(_whole, name).result() if name in _WHOLE
+            runs.result(_whole, name) if name in _WHOLE
             else SUITES[name](seed=seed, runs=runs)
             for name in names
         ]
-    finally:
-        # after an error the queued runs are dropped; the running ones finish
-        pool.shutdown(cancel_futures=True)
     if tolerances:
         for c in checks:
             if c["name"] in tolerances:

@@ -597,6 +597,26 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys):
         assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("initial, message", [
+    ({"rho": [0.5, 0.6], "S": [0.0, 0.0]}, "initial mass 1.1 != 1"),
+    ({"rho": [-0.1, 1.1], "S": [0.0, 0.0]}, '"rho": every entry must be finite and at least'),
+    ({"rho": [0.0, 1.0], "S": [0.0, 0.0]}, '"rho": every entry must be finite and at least'),
+    ({"rho": [1e-310, 1.0], "S": [0.0, 0.0]}, '"rho": every entry must be finite and at least'),
+    ({"psi_re": [0.0, 1.0], "psi_im": [0.0, 0.0]}, "|psi|^2: every entry must be finite and at least"),
+    ({"psi_re": [1e-160, 1.0], "psi_im": [0.0, 0.0]}, "|psi|^2: every entry must be finite and at least"),
+    ({"psi_re": [0.6, 0.6], "psi_im": [0.0, 0.0]}, "initial mass 0.72 != 1"),
+], ids=["rho_mass", "rho_negative", "rho_zero", "rho_subnormal", "psi_node", "psi_subnormal",
+        "psi_mass"])
+def test_simulate_initial_off_the_simplex_interior_is_a_config_error(
+        tmp_path, capsys, initial, message):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", simulate_config(initial=initial))
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert list(out.iterdir()) == []
+
+
 def test_linalg_error_exits_as_solver_failure(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -1,6 +1,7 @@
 """The verify suites: one shared battery run, and failed runs never pass."""
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -157,4 +158,19 @@ def test_run_suites_leaves_no_process_running(where, monkeypatch):
     monkeypatch.setitem(verify.SUITES, name, broken)
     with pytest.raises(RuntimeError, match="broken suite"):
         verify.run_suites([name, "euler_identity"])
+    assert multiprocessing.active_children() == []
+
+
+def test_run_suites_stops_the_runs_no_suite_reads(monkeypatch):
+    monkeypatch.setattr(verify.BatteryRun, "_integrate",
+                        lambda self: (None, "two_node: forced failure"))
+    # no shared counter here: a worker killed while holding its lock would
+    # hang the next read
+    monkeypatch.setattr(dynamics, "step", lambda *args: time.sleep(30))
+    began = time.perf_counter()
+    report = verify.run_suites(["conservation"])
+    # the forward runs are in their first step when conservation fails
+    assert time.perf_counter() - began < 10.0
+    (check,) = report["checks"]
+    assert check["passed"] is False and check["detail"] == "two_node: forced failure"
     assert multiprocessing.active_children() == []

@@ -75,6 +75,10 @@ class PotentialSpec:
                 raise ConfigError("interaction matrix must be symmetric")
         if not 0 < self.h < np.inf:
             raise ConfigError("h must be positive and finite")
+        # every energy scales the Fisher information by h^2/8; a Python float
+        # product overflows to inf, where h**2 would raise OverflowError
+        if float(self.h) * float(self.h) / 8.0 == np.inf:
+            raise ConfigError(f"h = {self.h:g} is too large: h^2/8 overflows")
 
     @property
     def n(self) -> int:

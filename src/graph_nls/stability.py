@@ -6,7 +6,10 @@ B = -W - (h^2/8) Hess I(rho_g).  Its eigenvalues satisfy lambda^2 in
 spec(L B), so writing L = R R^T gives lambda = +-i sqrt(mu) with mu the
 eigenvalues of the symmetric -(R^T B R) (the Hamiltonian reduction of
 Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
-2013).  For the discrete Gross-Pitaevskii case (V = 0, W = alpha I) the
+2013).  R comes from a Cholesky factor of the grounded Laplacian (L less
+the row and column of one node), whose rounding errors do not depend on
+a symmetric diagonal scaling: a rho_g spanning many decades costs no
+accuracy.  For the discrete Gross-Pitaevskii case (V = 0, W = alpha I) the
 spectrum is known in closed form from the plain graph Laplacian.
 """
 
@@ -18,8 +21,7 @@ import numpy as np
 
 from .errors import GraphNLSError
 from .energy import PotentialSpec, check_interior, static_hessian
-from .graph import Graph
-from .transport import WeightedLaplacian, weighted_laplacian
+from .graph import Graph, edge_means
 
 __all__ = [
     "HamiltonianMatrix",
@@ -34,22 +36,23 @@ __all__ = [
 STABLE_RE_TOL = 1e-10
 UNSTABLE_RE_TOL = 1e-8
 BIFURCATION_TOL = 1e-9
+# relative shift of the grounded Laplacian's diagonal: keeps its Cholesky
+# factorization from breaking down on a nearly disconnected graph
+GROUNDED_SHIFT = 1e-13
+# eigvalsh's error bound is n eps max|mu|: a mu below it is set to zero
+MU_SNAP = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """2n x 2n linearization J . Hess H at an equilibrium."""
 
-    laplacian: WeightedLaplacian  # L(rho_g) with its eigendecomposition
+    top_right: np.ndarray  # L(rho_g)
     bottom_left: np.ndarray  # -W - (h^2/8) Hess I(rho_g)
 
     @property
-    def top_right(self) -> np.ndarray:
-        return self.laplacian.matrix
-
-    @property
     def n(self) -> int:
-        return self.laplacian.n
+        return self.top_right.shape[0]
 
     def full(self) -> np.ndarray:
         n = self.n
@@ -75,7 +78,8 @@ def plain_laplacian(G: Graph) -> np.ndarray:
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:
     rho_g = check_interior(rho_g, G.n)
     hess = static_hessian(G, spec, rho_g)
-    return HamiltonianMatrix(weighted_laplacian(G, rho_g), np.negative(hess, out=hess))
+    return HamiltonianMatrix(G.laplacian(G.weights * edge_means(G, rho_g)),
+                             np.negative(hess, out=hess))
 
 
 def _sort_complex(vals):
@@ -98,21 +102,54 @@ def _pairs(mu):
     return _sort_complex(np.concatenate([1j * root, -1j * root]))
 
 
+def _grounded_factor(L) -> np.ndarray:
+    """R, n x (n-1), with R R^T = L up to the diagonal shift.
+
+    Grounds the node g with the largest diagonal entry (the heaviest): with
+    L_g = C C^T, R is C on the other rows and minus the column sums of C on
+    row g, since every column of L sums to zero.  A light g would make row g
+    a cancelling sum of O(1) numbers.
+    """
+    n = L.shape[0]
+    g = int(np.argmax(np.diagonal(L)))
+    rest = np.arange(n) != g
+    Lg = L[np.ix_(rest, rest)]
+    Lg.flat[:: n] *= 1.0 + GROUNDED_SHIFT  # the diagonal of the (n-1) x (n-1) Lg
+    R = np.zeros((n, n - 1))
+    R[rest] = np.linalg.cholesky(Lg)
+    del Lg
+    R[g] = -R.sum(axis=0)
+    return R
+
+
 def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
     """Spectrum of H by the symmetric reduction, plus its classification.
 
-    R = U_+ diag(sqrt(l_+)) takes the cached eigenpairs of L(rho_g) without
-    the kernel (the constants; the graph is connected), so L = R R^T.  One
-    eigvalsh of -(R^T B R), size n - 1, gives the exact pairs +-i sqrt(mu);
-    the kernel adds the mass/gauge zero pair.
+    L(rho_g) = R R^T with R from a Cholesky factor of the grounded
+    Laplacian, its diagonal shifted by GROUNDED_SHIFT relative.  One
+    eigvalsh of -(R^T B R), size n - 1, gives the pairs +-i sqrt(mu); the
+    grounding adds the mass/gauge zero pair.  A mu within n eps of the
+    largest |mu| is eigvalsh's roundoff and is set to zero, so a mu that is
+    negative only at that level reads as stable, not marginal.  Raises
+    GraphNLSError if the factorization breaks down or a mu is not finite.
     """
-    lap = H.laplacian
-    # on a nearly disconnected graph eigh can return l_1 roundoff-negative
-    R = lap.eigenvectors[:, 1:] * np.sqrt(np.maximum(lap.eigenvalues[1:], 0.0))
     try:
-        mu = np.linalg.eigvalsh(-(R.T @ H.bottom_left @ R))
+        # a weight near the float range overflows the products; the check
+        # below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = _grounded_factor(H.top_right)
+            M = R.T @ (H.bottom_left @ R)
+            del R
+            np.negative(M, out=M)
+            if not np.isfinite(M).all():
+                raise GraphNLSError("linearization overflows: its reduced matrix is not finite")
+            mu = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
-        raise GraphNLSError(f"eigensolver failure: {exc}") from exc
+        raise GraphNLSError(f"stability reduction failed: {exc}") from exc
+    if not np.isfinite(mu).all():
+        raise GraphNLSError("stability spectrum is not finite")
+    if len(mu):
+        mu[np.abs(mu) <= H.n * MU_SNAP * np.abs(mu).max()] = 0.0
     vals = _pairs(np.concatenate([[0.0], mu]))
     return SpectrumReport(
         eigenvalues=vals,

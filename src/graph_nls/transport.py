@@ -38,9 +38,10 @@ MEAN_TOL = 1e-10
 class WeightedLaplacian:
     """L(rho) with its cached symmetric eigendecomposition.
 
-    The pseudo-inverse solves and the stability reduction both reuse the
-    eigenpairs, sorted ascending; on a connected graph the first is the
-    kernel (the constants).
+    Only the pseudo-inverse solves use the eigenpairs, sorted ascending; on
+    a connected graph the first is the kernel (the constants).  The
+    stability reduction factors L(rho) itself and builds no
+    WeightedLaplacian.
     """
 
     matrix: np.ndarray

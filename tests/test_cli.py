@@ -353,6 +353,37 @@ def test_potentials_file_same_rule_in_every_subcommand(tmp_path):
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", simulate_config(
+            potentials={"V": [0.0, 0.0], "W": {"kind": "zero"}, "h": 1e200})),
+        ("stability", stability_config(
+            potentials={"V": [0.0] * 3, "W": {"kind": "zero"}, "h": 1e200})),
+        ("ground-state", ground_state_config(h_values=[1.0, 1e200])),
+    ],
+)
+def test_h_whose_square_overflows_is_a_config_error(tmp_path, capsys, command, config):
+    # h^2/8 scales every Fisher term; 1e200 squared is past the float range
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", config)
+    assert run([command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stability_non_finite_spectrum_is_a_solver_error(tmp_path, capsys):
+    # weights 1e300 and 1e-300 at the uniform state overflow the reduction
+    graph = {"builder": "explicit", "n": 3, "edges": [[1, 2, 1e300], [2, 3, 1e-300]]}
+    cfg = stability_config(graph=graph, rho_g="uniform")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["stability", "--config", path, "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
 def dispersion_config(**overrides):
     cfg = {
         "schema": 1,

@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from graph_nls import (
     PotentialSpec,
     build_graph,
+    build_path_lattice,
+    build_torus,
+    cli,
     gpe_spectrum_closed_form,
     hamiltonian,
     hamiltonian_matrix,
+    solve_ground_state,
     spectrum,
     weighted_laplacian,
 )
@@ -223,3 +229,77 @@ def test_spectrum_finite_on_nearly_disconnected_graph(rng):
         rep = spectrum(hamiltonian_matrix(G, spec, random_interior(rng, 6)))
         assert np.isfinite(rep.eigenvalues).all()
         assert rep.classification == "spectrally_stable"
+
+
+def balanced_frequencies(H):
+    """Sorted |Im| of LAPACK's eigvals of the full H, which balances it first."""
+    return np.sort(np.abs(np.linalg.eigvals(H.full()).imag))
+
+
+def frequencies(rep):
+    return np.sort(np.abs(rep.eigenvalues.imag))
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+def test_steep_torus_trap_matches_balanced_eigvals():
+    # min rho_g is 2e-23: the trap's densities span 22 decades
+    G = build_torus([16, 16], 1.0)
+    V = [(i - 7.5) ** 2 + (j - 7.5) ** 2 for i in range(16) for j in range(16)]
+    spec = PotentialSpec(V, np.ones(G.n), 1.0)
+    H = hamiltonian_matrix(G, spec, solve_ground_state(G, spec).rho_g)
+    rep = spectrum(H)
+    got, ref = frequencies(rep), balanced_frequencies(H)
+    assert rep.classification == "spectrally_stable"
+    # past the zero pair, one entry per +-i omega pair
+    assert relative_gap(got[2:12:2], ref[2:12:2]) <= 1e-6
+    assert relative_gap(got[-1], ref[-1]) <= 1e-6
+
+
+def test_path_lattice_small_h_has_one_zero_pair():
+    G = build_path_lattice(160, -5.0, 5.0)
+    spec = PotentialSpec(0.5 * G.coords.ravel() ** 2, np.zeros(G.n), 0.5)
+    H = hamiltonian_matrix(G, spec, solve_ground_state(G, spec).rho_g)
+    rep = spectrum(H)
+    got = frequencies(rep)
+    # the true frequencies start near 1: only the mass/gauge pair is zero
+    assert np.count_nonzero(np.abs(rep.eigenvalues) < 0.5) == 2
+    assert relative_gap(got[2:12:2], balanced_frequencies(H)[2:12:2]) <= 1e-6
+
+
+def test_nearly_disconnected_graph_without_interaction_is_stable(rng):
+    # at alpha = 0 the bridge mode's mu is roundoff-small; the snap to zero
+    # keeps its real part from reading as a marginal or unstable pair
+    edges = [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], [3, 4, 1.0], [4, 5, 1.0],
+             [3, 5, 1.0], [2, 3, 1e-22]]
+    G = build_graph(6, edges)
+    spec = PotentialSpec.gpe(6, 0.0, 1.0)
+    for _ in range(200):
+        rep = spectrum(hamiltonian_matrix(G, spec, random_interior(rng, 6)))
+        assert rep.classification == "spectrally_stable"
+
+
+# max |Im lambda| of the 32x32 trap below, from LAPACK's balanced eigvals of
+# the full 2048 x 2048 H at the CLI's solved rho_g (min rho_g 7.7e-39)
+STEEP_TRAP_MAX_FREQUENCY = 65.16747295735556
+
+
+def test_steep_trap_through_the_cli(tmp_path):
+    V = [0.1 * ((i - 15.5) ** 2 + (j - 15.5) ** 2) for i in range(32) for j in range(32)]
+    cfg = {
+        "schema": 1,
+        "command": "stability",
+        "graph": {"builder": "torus", "dims": [32, 32], "delta_x": 1.0},
+        "potentials": {"V": V, "W": {"kind": "diagonal", "alpha": 1.0}, "h": 1.0},
+        "rho_g": "solve",
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["stability", "--config", str(path), "--out", str(out)]) == 0
+    rep = json.loads((out / "spectrum.json").read_text())
+    assert rep["classification"] == "spectrally_stable"
+    top = max(abs(im) for _, im in rep["eigenvalues"])
+    assert abs(top - STEEP_TRAP_MAX_FREQUENCY) <= 1e-6

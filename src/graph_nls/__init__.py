@@ -41,7 +41,6 @@ from .energy import (
 )
 from .transport import (
     PathSample,
-    WeightedLaplacian,
     hodge_decompose,
     metric_tangent_norm,
     nelson_action,

@@ -36,7 +36,7 @@ class NonZeroMean(GraphNLSError):
 
 
 class NearSingular(GraphNLSError):
-    """Spectral gap of the weighted Laplacian is below the safe threshold."""
+    """The grounded weighted Laplacian is singular or has a subnormal entry."""
 
 
 class ZeroModulus(GraphNLSError):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import GraphNLSError
 from .energy import PotentialSpec, check_interior, static_hessian
-from .graph import Graph, edge_means
+from .graph import Graph
+from .transport import ground_node, weighted_laplacian
 
 __all__ = [
     "HamiltonianMatrix",
@@ -78,8 +79,7 @@ def plain_laplacian(G: Graph) -> np.ndarray:
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:
     rho_g = check_interior(rho_g, G.n)
     hess = static_hessian(G, spec, rho_g)
-    return HamiltonianMatrix(G.laplacian(G.weights * edge_means(G, rho_g)),
-                             np.negative(hess, out=hess))
+    return HamiltonianMatrix(weighted_laplacian(G, rho_g), np.negative(hess, out=hess))
 
 
 def _sort_complex(vals):
@@ -105,13 +105,13 @@ def _pairs(mu):
 def _grounded_factor(L) -> np.ndarray:
     """R, n x (n-1), with R R^T = L up to the diagonal shift.
 
-    Grounds the node g with the largest diagonal entry (the heaviest): with
-    L_g = C C^T, R is C on the other rows and minus the column sums of C on
-    row g, since every column of L sums to zero.  A light g would make row g
-    a cancelling sum of O(1) numbers.
+    Grounds L at g = ground_node(L), the heaviest node: with L_g = C C^T, R
+    is C on the other rows and minus the column sums of C on row g, since
+    every column of L sums to zero.  A light g would make row g a
+    cancelling sum of O(1) numbers.
     """
     n = L.shape[0]
-    g = int(np.argmax(np.diagonal(L)))
+    g = ground_node(L)
     rest = np.arange(n) != g
     Lg = L[np.ix_(rest, rest)]
     Lg.flat[:: n] *= 1.0 + GROUNDED_SHIFT  # the diagonal of the (n-1) x (n-1) Lg

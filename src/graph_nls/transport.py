@@ -3,14 +3,14 @@
 The density-weighted Laplacian L(rho) = D^T Theta(rho) D is the metric
 tensor of the graph Wasserstein geometry (positive semidefinite sign
 convention, kernel spanned by the constants).  Built on top of it:
-pseudo-inverse solves, the Hodge decomposition of edge fields, the
-tangent-space metric, and the action functional evaluated along sampled
-paths.
+pseudo-inverse solves on the grounded Laplacian, the Hodge decomposition
+of edge fields, the tangent-space metric, and the action functional
+evaluated along sampled paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,69 +19,53 @@ from .energy import PotentialSpec, check_interior, energy_terms
 from .graph import Graph, divergence, edge_means, grad
 
 __all__ = [
-    "WeightedLaplacian",
     "PathSample",
     "weighted_laplacian",
+    "ground_node",
     "pseudo_inverse_apply",
     "hodge_decompose",
     "metric_tangent_norm",
     "nelson_action",
 ]
 
-# eigenvalues below this (relative to the largest) count as the kernel
-NULL_CUTOFF = 1e-12
-GAP_FLOOR = 1e-13
 MEAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WeightedLaplacian:
-    """L(rho) with its cached symmetric eigendecomposition.
-
-    Only the pseudo-inverse solves use the eigenpairs, sorted ascending; on
-    a connected graph the first is the kernel (the constants).  The
-    stability reduction factors L(rho) itself and builds no
-    WeightedLaplacian.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def lambda_sec(self) -> float:
-        return float(self.eigenvalues[1])
-
-
-def weighted_laplacian(G: Graph, rho) -> WeightedLaplacian:
-    """Assemble L(rho) with (L S)_j = sum_{l~j} w_jl (S_j - S_l) g_jl."""
+def weighted_laplacian(G: Graph, rho) -> np.ndarray:
+    """Dense L(rho) with (L S)_j = sum_{l~j} w_jl (S_j - S_l) g_jl."""
     rho = check_interior(rho, G.n)
-    return WeightedLaplacian(G.laplacian(G.weights * edge_means(G, rho)))
+    return G.laplacian(G.weights * edge_means(G, rho))
 
 
-def pseudo_inverse_apply(Lap: WeightedLaplacian, b) -> np.ndarray:
-    """Minimum-norm solution of L S = b for mean-zero b."""
+def ground_node(L) -> int:
+    """The node where L(rho) is grounded: the heaviest, with the largest diagonal."""
+    return int(np.argmax(np.diagonal(L)))
+
+
+def pseudo_inverse_apply(L, b) -> np.ndarray:
+    """Minimum-norm solution of L S = b for mean-zero b.
+
+    Solves the grounded block (L less the row and column of ground_node)
+    with S_g = 0, then subtracts the mean: the row of g holds because b
+    and every column of L sum to zero, and on a connected graph the kernel
+    is the constants.
+    """
+    n = L.shape[0]
     b = np.asarray(b, dtype=float)
+    if b.shape != (n,) or not np.isfinite(b).all():
+        raise ConfigError(f"right-hand side must be {n} finite numbers, got shape {b.shape}")
     if abs(b.sum()) > MEAN_TOL * max(1.0, np.abs(b).max()):
         raise NonZeroMean(f"right-hand side sums to {b.sum():.3g}")
-    vals, vecs = Lap.eigenvalues, Lap.eigenvectors
-    cutoff = NULL_CUTOFF * max(vals[-1], 0.0)
-    live = vals > cutoff
-    if np.count_nonzero(live) < Lap.n - 1 or Lap.lambda_sec < GAP_FLOOR:
-        raise NearSingular(f"spectral gap {Lap.lambda_sec:.3g} too small")
-    coef = vecs.T @ b
-    inv = np.zeros_like(vals)
-    inv[live] = 1.0 / vals[live]
-    S = vecs @ (inv * coef)
+    # a subnormal conductance has lost its digits: the solve would return
+    # a wrong S without failing
+    if np.abs(L).min(initial=np.inf, where=L != 0) < np.finfo(float).tiny:
+        raise NearSingular("L(rho) has a subnormal entry")
+    rest = np.arange(n) != ground_node(L)
+    S = np.zeros(n)
+    try:
+        S[rest] = np.linalg.solve(L[np.ix_(rest, rest)], b[rest])
+    except np.linalg.LinAlgError as exc:
+        raise NearSingular(f"grounded Laplacian is singular: {exc}") from exc
     return S - S.mean()
 
 
@@ -91,8 +75,7 @@ def hodge_decompose(G: Graph, rho, v):
     Returns (S, u) with v = grad S + u, div(rho u) = 0 and S mean-zero.
     """
     rho = check_interior(rho, G.n)
-    Lap = weighted_laplacian(G, rho)
-    S = pseudo_inverse_apply(Lap, divergence(G, rho, v))
+    S = pseudo_inverse_apply(weighted_laplacian(G, rho), divergence(G, rho, v))
     u = np.asarray(v, dtype=float) - grad(G, S)
     return S, u
 
@@ -101,8 +84,7 @@ def metric_tangent_norm(G: Graph, rho, rho_dot) -> float:
     """Squared Wasserstein length of a tangent vector: rho_dot^T L(rho)^+ rho_dot."""
     rho = check_interior(rho, G.n)
     rho_dot = np.asarray(rho_dot, dtype=float)
-    Lap = weighted_laplacian(G, rho)
-    S = pseudo_inverse_apply(Lap, rho_dot)
+    S = pseudo_inverse_apply(weighted_laplacian(G, rho), rho_dot)
     return float(S @ rho_dot)
 
 

@@ -68,7 +68,7 @@ def test_bottom_left_without_interaction(rng):
     rho = random_interior(rng, G.n)
     H = hamiltonian_matrix(G, spec, rho)
     assert np.abs(H.bottom_left + h**2 / 8.0 * fisher_hessian(G, rho)).max() < 1e-12
-    assert np.abs(H.top_right - weighted_laplacian(G, rho).matrix).max() < 1e-14
+    assert np.abs(H.top_right - weighted_laplacian(G, rho)).max() < 1e-14
 
 
 def test_matches_fd_hessian_of_hamiltonian(rng):

@@ -132,6 +132,11 @@ def _init_density(value) -> np.ndarray:
     return rho
 
 
+def _check_mass(rho, what) -> None:
+    if abs(rho.sum() - 1.0) > INITIAL_MASS_TOL:
+        raise ConfigError(f"{what} mass {rho.sum():.12g} != 1")
+
+
 def _initial_state(data, G: Graph, h: float) -> SystemState:
     """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}: a
     density in the simplex interior, of mass 1, and a finite phase."""
@@ -154,8 +159,7 @@ def _initial_state(data, G: Graph, h: float) -> SystemState:
         )
     if not np.isfinite(state.S).all():
         raise ConfigError("initial phase must be finite")
-    if abs(state.rho.sum() - 1.0) > INITIAL_MASS_TOL:
-        raise ConfigError(f"initial mass {state.rho.sum():.12g} != 1")
+    _check_mass(state.rho, "initial")
     return state
 
 
@@ -187,10 +191,18 @@ def cmd_simulate(cfg_path, out_dir) -> int:
     return EXIT_OK
 
 
+def _ground_state_file(h) -> str:
+    return f"ground_state_h{h:g}.json"
+
+
 def _h_values(values) -> list:
     if not isinstance(values, list) or not values:
         raise ConfigError('"h_values" must be a non-empty list')
-    return [number(h) for h in values]
+    h_values = [number(h) for h in values]
+    # a second solve would overwrite the artifact of the first
+    if len(set(map(_ground_state_file, h_values))) < len(h_values):
+        raise ConfigError(f'"h_values" {h_values} name the same per-h artifact twice')
+    return h_values
 
 
 def cmd_ground_state(cfg_path, out_dir) -> int:
@@ -210,37 +222,30 @@ def cmd_ground_state(cfg_path, out_dir) -> int:
             res, failed = solve_ground_state(G, spec, **options), None
         except MaxIterations as exc:
             res, failed = exc.result, str(exc)
-        entry = {
-            "h": spec.h,
-            "rho_g": res.rho_g,
-            "nu": res.nu,
-            "energy": res.energy,
-            "kkt_residual": res.kkt_residual,
-            "eigen_residual": eigen_residual(G, spec, res),
-            "iterations": res.iterations,
-            "cg_products": res.cg_products,
-            "fallback_steps": res.fallback_steps,
-            "stop_reason": res.stop_reason,
-            "unique": res.unique,
-        }
+        entry = {"h": spec.h, **dataclasses.asdict(res),
+                 "eigen_residual": eigen_residual(G, spec, res)}
         if failed is not None:
             entry["error"] = failed
         results.append(entry)
-        write_json(os.path.join(out_dir, f"ground_state_h{entry['h']:g}.json"), entry)
-        if "error" in entry:
-            print(f"ground-state: h={entry['h']:g}: {entry['error']}", file=sys.stderr)
+        write_json(os.path.join(out_dir, _ground_state_file(spec.h)), entry)
+        if failed is not None:
+            print(f"ground-state: h={spec.h:g}: {failed}", file=sys.stderr)
         else:
             print(
-                f"ground-state: h={entry['h']:g} energy={entry['energy']:.12g} "
-                f"nu={entry['nu']:.12g} kkt={entry['kkt_residual']:.3g} "
-                f"iters={entry['iterations']}"
+                f"ground-state: h={spec.h:g} energy={res.energy:.12g} "
+                f"nu={res.nu:.12g} kkt={res.kkt_residual:.3g} iters={res.iterations}"
             )
     write_json(os.path.join(out_dir, "ground_state.json"), {"results": results})
     return EXIT_SOLVER if any("error" in entry for entry in results) else EXIT_OK
 
 
 def _density(value):
-    return value if value in ("uniform", "solve") else floats(value)
+    """The name "uniform" or "solve", or a density read as ``init`` is, of mass 1."""
+    if value in ("uniform", "solve"):
+        return value
+    rho = _init_density(value)
+    _check_mass(rho, "rho_g")
+    return rho
 
 
 def cmd_stability(cfg_path, out_dir) -> int:
@@ -345,6 +350,8 @@ def _suite_names(names) -> list:
         raise ConfigError(f"unknown verify suites: {sorted(unknown)}")
     if not names:
         raise ConfigError('"suites" must name at least one suite')
+    if len(set(names)) < len(names):
+        raise ConfigError(f'"suites" names a suite twice: {names}')
     return list(names)
 
 

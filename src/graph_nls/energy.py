@@ -24,22 +24,14 @@ from .graph import Graph, check_interior, dense, edge_means, grad
 
 __all__ = [
     "PotentialSpec",
-    "check_interior",
     "fisher_information",
     "fisher_gradient",
     "fisher_hessian",
     "potential_energy",
     "interaction_energy",
-    "interaction_times",
-    "static_gradient",
-    "static_hessian",
-    "static_hessian_entries",
-    "static_log_hessian_entries",
     "energy_terms",
     "hamiltonian",
-    "wave_edge_field",
     "wave_energy_components",
-    "potentials_from_dict",
 ]
 
 MASS_TOL = 1e-12

@@ -38,8 +38,6 @@ __all__ = [
     "build_graph",
     "build_path_lattice",
     "build_torus",
-    "check_interior",
-    "dense",
     "grad",
     "divergence",
     "inner_product",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,12 +32,10 @@ from .graph import Graph
 
 __all__ = [
     "GroundStateResult",
-    "check_solver_settings",
     "ground_energy",
     "ground_gradient",
     "solve_ground_state",
     "eigen_residual",
-    "min_interaction_eigenvalue",
 ]
 
 ARMIJO_SLOPE = 1e-4
@@ -212,23 +210,25 @@ def _mirror_phase(G, spec, rho, energy, dg):
     return _newton_step(G, spec, rho, energy, -dg, -float((rho * dg) @ dg))
 
 
-def _newton_phase(G, spec, rho, tol, max_iter):
+def _newton_phase(G, spec, rho, tol, max_iter) -> GroundStateResult:
     """Newton-CG in u = log rho from rho until KKT ``tol``, ``max_iter`` or a stall.
 
-    Returns (rho, energy, nu, residual, (iterations, products, fallback
-    steps), stop reason), where products counts the Hessian products of
-    every CG solve.  Where the Newton step fails, ``_mirror_phase`` backtracks
-    along -(grad - nu) under the same Armijo test.  Far from the minimizer a
-    tail can take many steps of order one in u while the KKT residual stays
-    put, so a stall is STALL_ITERATIONS iterations without a new smallest
-    residual and without such a step.  A non-finite residual stops the loop
-    at the last (finite) iterate, as does a fallback that finds no step.
+    Returns the iterate with the smallest KKT residual, the last one when
+    the loop reaches ``tol``, with the counts of the whole loop:
+    ``cg_products`` counts the Hessian products of every CG solve.  Where
+    the Newton step fails, ``_mirror_phase`` backtracks along -(grad - nu)
+    under the same Armijo test.  Far from the minimizer a tail can take many
+    steps of order one in u while the KKT residual stays put, so a stall is
+    STALL_ITERATIONS iterations without a new smallest residual and without
+    such a step.  A non-finite residual stops the loop, as does a fallback
+    that finds no step.
     """
     energy = ground_energy(G, spec, rho)
     grad = ground_gradient(G, spec, rho)
     nu, res = _kkt(grad, rho)
-    best, stalled = res, 0
+    best, stalled = GroundStateResult(rho, nu, energy, res, 0), 0
     it = products = fallbacks = 0
+    reason = None
     while not res <= tol and math.isfinite(res) and it < max_iter and stalled < STALL_ITERATIONS:
         it += 1
         dg = grad - nu
@@ -240,17 +240,20 @@ def _newton_phase(G, spec, rho, tol, max_iter):
             fallbacks += 1
             step = _mirror_phase(G, spec, rho, energy, dg)
             if step is None:
-                return rho, energy, nu, res, (it, products, fallbacks), "no_step"
+                reason = "no_step"
+                break
         new, energy = step
         moved = float(np.abs(np.log(new / rho)).max())
         rho = new
         grad = ground_gradient(G, spec, rho)
         nu, res = _kkt(grad, rho)
-        stalled = 0 if res < best or moved >= STALL_STEP else stalled + 1
-        best = min(best, res)
-    reason = ("tolerance" if res <= tol else "non_finite" if not math.isfinite(res)
-              else "max_iter" if it >= max_iter else "stall")
-    return rho, energy, nu, res, (it, products, fallbacks), reason
+        stalled = 0 if res < best.kkt_residual or moved >= STALL_STEP else stalled + 1
+        if res < best.kkt_residual:
+            best = GroundStateResult(rho, nu, energy, res, 0)
+    reason = reason or ("tolerance" if res <= tol else "non_finite" if not math.isfinite(res)
+                        else "max_iter" if it >= max_iter else "stall")
+    return replace(best, iterations=it, cg_products=products, fallback_steps=fallbacks,
+                   stop_reason=reason)
 
 
 def solve_ground_state(
@@ -269,10 +272,11 @@ def solve_ground_state(
     ``_newton_phase``), which bounds one that roundoff keeps from ``tol``,
     when the fallback finds no step, or at a non-finite residual.  A stop
     short of ``tol`` raises MaxIterations that names its ``stop_reason``
-    and carries the last iterate, which is finite and normalized.  With
-    positive semidefinite W the objective is strictly convex and the result
-    is the unique ground state; otherwise only a critical point (flagged
-    via ``unique=False`` and NonConvexWarning).
+    and carries the best iterate, the one with the smallest KKT residual,
+    which is finite and normalized.  With positive semidefinite W the
+    objective is strictly convex and the result is the unique ground state;
+    otherwise only a critical point (flagged via ``unique=False`` and
+    NonConvexWarning).
     """
     check_solver_settings(tol, max_iter)
     if init is None:
@@ -280,21 +284,20 @@ def solve_ground_state(
     else:
         rho = check_interior(init, G.n)
         rho = rho / rho.sum()
-    unique = True
-    if min_interaction_eigenvalue(spec.interaction) < -1e-12:
-        unique = False
+    unique = not min_interaction_eigenvalue(spec.interaction) < -1e-12
+    if not unique:
         warnings.warn(
             "interaction matrix is not positive semidefinite; "
             "returning a critical point, not necessarily the ground state",
             NonConvexWarning,
         )
 
-    rho, energy, nu, res, (it, products, fallbacks), reason = _newton_phase(
-        G, spec, rho, tol, max_iter)
-    result = GroundStateResult(rho, nu, energy, res, it, unique, products, fallbacks, reason)
-    if not res <= tol:
+    result = _newton_phase(G, spec, rho, tol, max_iter)
+    result.unique = unique
+    if not result.kkt_residual <= tol:
         raise MaxIterations(
-            f"KKT residual {res:.3g} > {tol:.3g}: stopped on {reason} after {it} iterations",
+            f"KKT residual {result.kkt_residual:.3g} > {tol:.3g}: stopped on "
+            f"{result.stop_reason} after {result.iterations} iterations",
             result=result,
         )
     return result

@@ -31,7 +31,6 @@ __all__ = [
     "spectrum",
     "gpe_spectrum_closed_form",
     "plain_laplacian",
-    "spectrum_mismatch",
 ]
 
 STABLE_RE_TOL = 1e-10

@@ -21,7 +21,6 @@ from .graph import Graph, divergence, edge_means, grad
 __all__ = [
     "PathSample",
     "weighted_laplacian",
-    "ground_node",
     "pseudo_inverse_apply",
     "hodge_decompose",
     "metric_tangent_norm",

@@ -33,7 +33,7 @@ from .graph import Graph, build_graph, build_path_lattice, build_torus, divergen
 from .ground_state import ground_gradient, min_interaction_eigenvalue
 from .transport import hodge_decompose
 
-__all__ = ["run_suites", "SUITES"]
+__all__ = ["run_suites"]
 
 # calibrated so the implicit midpoint drift at dt = 1e-3 stays below the
 # conservation tolerance on each battery graph

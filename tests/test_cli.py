@@ -229,6 +229,15 @@ def test_ground_state_sweep_matches_single_solves(tmp_path):
         assert json.loads((one / "ground_state.json").read_text())["results"] == [entry]
 
 
+def test_h_values_naming_one_artifact_twice_are_a_config_error(tmp_path, capsys):
+    # both h print as "1": the second solve would overwrite ground_state_h1.json
+    path = write_config(tmp_path, "c.json", ground_state_config(h_values=[1.0, 1.0000001]))
+    out = tmp_path / "out"
+    assert run(["ground-state", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('config error: config "h_values"')
+    assert not list(out.iterdir())
+
+
 def test_stability_gpe_uniform(tmp_path):
     cfg = {
         "schema": 1,
@@ -295,8 +304,36 @@ def stability_config(**overrides):
 def test_stability_rejects_non_finite_density(tmp_path, capsys):
     for bad in (float("nan"), float("inf")):
         path = write_config(tmp_path, "c.json", stability_config(rho_g=[0.5, bad, 0.5]))
-        assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert run(["stability", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+GPE_2 = {"graph": {"builder": "explicit", "n": 2, "edges": [[1, 2, 1.0]]},
+         "potentials": {"V": [0.0, 0.0], "W": {"kind": "diagonal", "alpha": -1.0}, "h": 1.0}}
+
+
+@pytest.mark.parametrize("rho_g", [[0.0, 1.0], [-0.5, 1.5], [1e-310, 1.0],
+                                   [0.5, float("nan")], [0.25, 0.25]])
+def test_stability_reads_a_density_list_as_init_of_mass_1(tmp_path, capsys, rho_g):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", stability_config(**GPE_2, rho_g=rho_g))
+    assert run(["stability", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('config error: config "rho_g"')
+    assert not (out / "spectrum.json").exists()
+    path = write_config(tmp_path, "c.json", stability_config(**GPE_2, rho_g=[0.5, 0.5]))
+    assert run(["stability", "--config", path, "--out", str(out)]) == 0
+
+
+def test_stability_exits_2_when_its_solve_fails(tmp_path, capsys):
+    with open(os.path.join(REPO, "configs", "harmonic_lattice.json")) as f:
+        lattice = json.load(f)
+    out = tmp_path / "out"
+    cfg = stability_config(graph=lattice["graph"], potentials={**lattice["potentials"], "h": 1.0},
+                           tol=1e-300)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["stability", "--config", path, "--out", str(out)]) == 2
+    assert "ground-state solve failed" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
 
 
 def test_stability_rejects_non_stationary_density(tmp_path, capsys):
@@ -791,6 +828,15 @@ def test_verify_empty_suite_list_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["verify", "--config", path, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_repeated_suite_is_a_config_error(tmp_path, capsys):
+    cfg = {"schema": 1, "command": "verify", "suites": ["euler_identity", "euler_identity"]}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 1
+    assert "twice" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
 
 

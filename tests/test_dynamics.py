@@ -690,3 +690,12 @@ def test_plane_wave_rejects_incommensurate():
     G = build_torus([8], 1.0)
     with pytest.raises(IncommensurateWaveNumber):
         plane_wave_residual(G, np.array([0.77]))
+
+
+def test_gmres_rejects_a_non_finite_residual():
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    newton = dynamics._NewtonMatrix()
+    newton.build(G, spec, SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1])), 1e-3)
+    newton.tol = 1e-13
+    with pytest.raises(NewtonDivergence, match="not finite"):
+        newton.solve(np.array([1e-3, np.nan, 0.0, 0.0]))

@@ -277,7 +277,7 @@ def test_failed_newton_step_falls_back_to_a_mirror_step(monkeypatch):
 @pytest.mark.parametrize("n, x_min, x_max, h", [(160, -8.0, 8.0, 1.0), (20, -5.0, 5.0, 0.001)])
 def test_unreachable_tolerance_stops_on_a_stall(n, x_min, x_max, h):
     # roundoff keeps the KKT residual near 1e-13; the solve stops on its
-    # own long before max_iter, with its last iterate
+    # own long before max_iter, with its best iterate
     G, spec = harmonic_trap(n, x_min, x_max, h)
     with pytest.raises(MaxIterations) as info:
         solve_ground_state(G, spec, tol=1e-17, max_iter=5000)
@@ -332,3 +332,27 @@ def test_result_says_why_the_solve_stopped(monkeypatch):
     with pytest.raises(MaxIterations, match="non_finite") as info:
         solve_ground_state(G, spec)
     assert info.value.result.stop_reason == "non_finite"
+
+
+def test_a_solve_stopped_short_returns_its_best_iterate():
+    # the pinned lattice at h = 1 reaches a KKT residual near 2e-14, then
+    # roundoff moves it off again before the solve stalls
+    G, spec = harmonic_trap(20, -5.0, 5.0, 1.0)
+    with pytest.raises(MaxIterations, match="stall") as info:
+        solve_ground_state(G, spec, tol=1e-300)
+    best = info.value.result
+    assert best.kkt_residual <= 1e-12
+    # rho_g, energy, nu and the residual all belong to that one iterate
+    assert ground_energy(G, spec, best.rho_g) == best.energy
+    assert ground_state._kkt(ground_gradient(G, spec, best.rho_g), best.rho_g) == (
+        best.nu, best.kkt_residual)
+
+
+def test_a_fallback_that_finds_no_step_stops_the_solve(monkeypatch):
+    G, spec = harmonic_trap(20, -5.0, 5.0, 1.0)
+    monkeypatch.setattr(ground_state, "_newton_step", lambda *args: None)
+    with pytest.raises(MaxIterations, match="no_step after 1 iterations") as info:
+        solve_ground_state(G, spec)
+    res = info.value.result
+    assert res.stop_reason == "no_step" and res.fallback_steps == 1
+    assert np.array_equal(res.rho_g, np.full(G.n, 1.0 / G.n))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from graph_nls import (
+    GraphNLSError,
+    HamiltonianMatrix,
     PotentialSpec,
     build_graph,
     build_path_lattice,
@@ -303,3 +305,19 @@ def test_steep_trap_through_the_cli(tmp_path):
     assert rep["classification"] == "spectrally_stable"
     top = max(abs(im) for _, im in rep["eigenvalues"])
     assert abs(top - STEEP_TRAP_MAX_FREQUENCY) <= 1e-6
+
+
+def test_closed_form_just_past_its_threshold_is_marginal():
+    # mu = -1e-18 on the one nonzero mode: a real pair +-1e-9, between the
+    # stable and the unstable tolerance
+    closed = gpe_spectrum_closed_form(build_graph(2, [(0, 1, 1.0)]), -1e-8 * (1 + 1e-10), 1e-4)
+    assert closed.classification == "marginal"
+    assert closed.bifurcation_modes == [2]
+
+
+def test_spectrum_reports_a_failed_factorization():
+    # -L(rho) has a negative definite grounded block: Cholesky breaks down
+    G = path_graph(3)
+    L = weighted_laplacian(G, np.full(3, 1.0 / 3.0))
+    with pytest.raises(GraphNLSError, match="reduction failed"):
+        spectrum(HamiltonianMatrix(-L, np.eye(3)))

@@ -137,6 +137,13 @@ def _check_mass(rho, what) -> None:
         raise ConfigError(f"{what} mass {rho.sum():.12g} != 1")
 
 
+def _unit_density(value) -> np.ndarray:
+    """An ``init`` density: read as ``_init_density`` reads it, of mass 1."""
+    rho = _init_density(value)
+    _check_mass(rho, "density")
+    return rho
+
+
 def _initial_state(data, G: Graph, h: float) -> SystemState:
     """{"rho": [...], "S": [...]} or {"psi_re": [...], "psi_im": [...]}: a
     density in the simplex interior, of mass 1, and a finite phase."""
@@ -207,7 +214,7 @@ def _h_values(values) -> list:
 
 def cmd_ground_state(cfg_path, out_dir) -> int:
     keys = {"graph": as_is, "potentials": as_is, "h_values": _h_values,
-            "tol": number, "max_iter": integer, "init": _init_density}
+            "tol": number, "max_iter": integer, "init": _unit_density}
     with _reading_config("ground-state"):
         data = load_config(cfg_path, "ground-state", keys, {"graph", "potentials"})
         G = _graph(data["graph"])
@@ -240,12 +247,10 @@ def cmd_ground_state(cfg_path, out_dir) -> int:
 
 
 def _density(value):
-    """The name "uniform" or "solve", or a density read as ``init`` is, of mass 1."""
+    """The name "uniform" or "solve", or a density read as ``init`` is."""
     if value in ("uniform", "solve"):
         return value
-    rho = _init_density(value)
-    _check_mass(rho, "rho_g")
-    return rho
+    return _unit_density(value)
 
 
 def cmd_stability(cfg_path, out_dir) -> int:

@@ -44,6 +44,7 @@ from .energy import (
     wave_edge_field,
 )
 from .graph import Graph, dense, edge_means
+from .transport import metric_conductances
 
 __all__ = [
     "SystemState",
@@ -160,10 +161,9 @@ def _jacobian_entries(G: Graph, spec: PotentialSpec, state: SystemState):
     rho = check_interior(state.rho, G.n)
     n = G.n
     half_w_dS = 0.5 * G.weights * G.diff(state.S)
-    c = G.weights * edge_means(G, rho)  # L(rho) = D^T diag(c) D
     a = G.div(half_w_dS)
     A = G.edge_entries(a, half_w_dS, -half_w_dS)
-    L = G.laplacian_entries(c)
+    L = G.laplacian_entries(metric_conductances(G, rho))
     H = static_hessian_entries(G, spec, rho)
     minus_At = G.edge_entries(-a, half_w_dS, -half_w_dS)
     return (np.concatenate([A[0], L[0], n + H[0], n + minus_At[0]]),

@@ -109,7 +109,9 @@ class Graph:
 def dense(rows, cols, vals, size) -> np.ndarray:
     """The size x size matrix of (rows, cols, vals) entries, the one format of
     every matrix over the nodes: a repeated (row, col) pair adds up."""
-    return np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
+    # bincount of no entries is an integer array
+    flat = np.bincount(rows * size + cols, vals, size * size).astype(float, copy=False)
+    return flat.reshape(size, size)
 
 
 # Densities below this are treated as boundary points: log() would still be

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphNLSError
-from .energy import PotentialSpec, check_interior, static_hessian
-from .graph import Graph
-from .transport import ground_node, weighted_laplacian
+from .energy import PotentialSpec, check_interior, static_hessian_entries
+from .graph import Graph, dense
+from .transport import ground_node, metric_conductances
 
 __all__ = [
     "HamiltonianMatrix",
@@ -45,14 +45,23 @@ MU_SNAP = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """2n x 2n linearization J . Hess H at an equilibrium."""
+    """2n x 2n linearization J . Hess H at an equilibrium, held as the
+    (rows, cols, vals) entries of its two blocks, never as n x n arrays."""
 
-    top_right: np.ndarray  # L(rho_g)
-    bottom_left: np.ndarray  # -W - (h^2/8) Hess I(rho_g)
+    n: int
+    laplacian: tuple  # L(rho_g), the top right block
+    hessian: tuple  # the static Hessian -B; the bottom left block is B
 
     @property
-    def n(self) -> int:
-        return self.top_right.shape[0]
+    def top_right(self) -> np.ndarray:
+        """L(rho_g) as an n x n matrix, assembled on each access."""
+        return dense(*self.laplacian, self.n)
+
+    @property
+    def bottom_left(self) -> np.ndarray:
+        """B = -W - (h^2/8) Hess I(rho_g) as an n x n matrix, assembled on each access."""
+        B = dense(*self.hessian, self.n)
+        return np.negative(B, out=B)
 
     def full(self) -> np.ndarray:
         n = self.n
@@ -77,8 +86,8 @@ def plain_laplacian(G: Graph) -> np.ndarray:
 
 def hamiltonian_matrix(G: Graph, spec: PotentialSpec, rho_g) -> HamiltonianMatrix:
     rho_g = check_interior(rho_g, G.n)
-    hess = static_hessian(G, spec, rho_g)
-    return HamiltonianMatrix(weighted_laplacian(G, rho_g), np.negative(hess, out=hess))
+    return HamiltonianMatrix(G.n, G.laplacian_entries(metric_conductances(G, rho_g)),
+                             static_hessian_entries(G, spec, rho_g))
 
 
 def _sort_complex(vals):
@@ -101,24 +110,24 @@ def _pairs(mu):
     return _sort_complex(np.concatenate([1j * root, -1j * root]))
 
 
-def _grounded_factor(L) -> np.ndarray:
-    """R, n x (n-1), with R R^T = L up to the diagonal shift.
+def _grounded_factor(n, rows, cols, vals) -> np.ndarray:
+    """R, n x (n-1), with R R^T = L up to the diagonal shift, from L's entries.
 
-    Grounds L at g = ground_node(L), the heaviest node: with L_g = C C^T, R
-    is C on the other rows and minus the column sums of C on row g, since
+    Grounds L at g = ground_node, the heaviest node: with L_g = C C^T, R is
+    C on the other rows and minus the column sums of C on row g, since
     every column of L sums to zero.  A light g would make row g a
-    cancelling sum of O(1) numbers.
+    cancelling sum of O(1) numbers.  Only the (n-1) x (n-1) L_g is
+    assembled, and it is freed before R is allocated.
     """
-    n = L.shape[0]
-    g = ground_node(L)
-    rest = np.arange(n) != g
-    Lg = L[np.ix_(rest, rest)]
+    on = rows == cols
+    g = ground_node(np.bincount(rows[on], vals[on], n))
+    keep = (rows != g) & (cols != g)
+    index = np.arange(n) - (np.arange(n) > g)  # a node's row in L_g
+    Lg = dense(index[rows[keep]], index[cols[keep]], vals[keep], n - 1)
     Lg.flat[:: n] *= 1.0 + GROUNDED_SHIFT  # the diagonal of the (n-1) x (n-1) Lg
-    R = np.zeros((n, n - 1))
-    R[rest] = np.linalg.cholesky(Lg)
+    C = np.linalg.cholesky(Lg)
     del Lg
-    R[g] = -R.sum(axis=0)
-    return R
+    return np.insert(C, g, -C.sum(axis=0), axis=0)
 
 
 def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
@@ -129,17 +138,21 @@ def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
     eigvalsh of -(R^T B R), size n - 1, gives the pairs +-i sqrt(mu); the
     grounding adds the mass/gauge zero pair.  A mu within n eps of the
     largest |mu| is eigvalsh's roundoff and is set to zero, so a mu that is
-    negative only at that level reads as stable, not marginal.  Raises
-    GraphNLSError if the factorization breaks down or a mu is not finite.
+    negative only at that level reads as stable, not marginal.  At most
+    three n x n arrays are alive at once: the dense -B lives only for its
+    product with R.  Raises GraphNLSError if the factorization breaks down
+    or a mu is not finite.
     """
     try:
         # a weight near the float range overflows the products; the check
         # below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            R = _grounded_factor(H.top_right)
-            M = R.T @ (H.bottom_left @ R)
-            del R
-            np.negative(M, out=M)
+            R = _grounded_factor(H.n, *H.laplacian)
+            Hs = dense(*H.hessian, H.n)  # -B
+            X = Hs @ R
+            del Hs
+            M = R.T @ X  # -(R^T B R)
+            del R, X
             if not np.isfinite(M).all():
                 raise GraphNLSError("linearization overflows: its reduced matrix is not finite")
             mu = np.linalg.eigvalsh(M)

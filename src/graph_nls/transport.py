@@ -30,15 +30,19 @@ __all__ = [
 MEAN_TOL = 1e-10
 
 
+def metric_conductances(G: Graph, rho) -> np.ndarray:
+    """w_jl (rho_j + rho_l)/2 per edge: L(rho) = D^T diag(these) D."""
+    return G.weights * edge_means(G, rho)
+
+
 def weighted_laplacian(G: Graph, rho) -> np.ndarray:
     """Dense L(rho) with (L S)_j = sum_{l~j} w_jl (S_j - S_l) g_jl."""
-    rho = check_interior(rho, G.n)
-    return G.laplacian(G.weights * edge_means(G, rho))
+    return G.laplacian(metric_conductances(G, check_interior(rho, G.n)))
 
 
-def ground_node(L) -> int:
+def ground_node(diagonal) -> int:
     """The node where L(rho) is grounded: the heaviest, with the largest diagonal."""
-    return int(np.argmax(np.diagonal(L)))
+    return int(np.argmax(diagonal))
 
 
 def pseudo_inverse_apply(L, b) -> np.ndarray:
@@ -59,7 +63,7 @@ def pseudo_inverse_apply(L, b) -> np.ndarray:
     # a wrong S without failing
     if np.abs(L).min(initial=np.inf, where=L != 0) < np.finfo(float).tiny:
         raise NearSingular("L(rho) has a subnormal entry")
-    rest = np.arange(n) != ground_node(L)
+    rest = np.arange(n) != ground_node(np.diagonal(L))
     S = np.zeros(n)
     try:
         S[rest] = np.linalg.solve(L[np.ix_(rest, rest)], b[rest])

@@ -896,6 +896,18 @@ def test_ground_state_bad_init_is_a_config_error(tmp_path, capsys, init):
     assert not (tmp_path / "out" / "ground_state.json").exists()
 
 
+@pytest.mark.parametrize("init", [[0.25] * 5, [0.15] * 5])
+def test_ground_state_init_off_mass_1_is_a_config_error(tmp_path, capsys, init):
+    # the rule of simulate's initial and stability's rho_g: |mass - 1| <= 1e-9
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", ground_state_config(init=init))
+    assert run(["ground-state", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('config error: config "init": density mass')
+    assert not list(out.iterdir())
+    path = write_config(tmp_path, "c.json", ground_state_config(init=[0.2] * 5))
+    assert run(["ground-state", "--config", path, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("option", [{"tol": 0}, {"max_iter": 0}])
 def test_ground_state_bad_solver_setting_writes_no_artifact(tmp_path, capsys, option):
     cfg = ground_state_config(h_values=[1.0, 0.5], **option)

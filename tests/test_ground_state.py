@@ -182,9 +182,10 @@ def test_eigen_residual_grows_off_minimum():
     assert eigen_residual(G, spec, fake) > base
 
 
-def test_newton_polish_assembles_one_bordered_matrix(monkeypatch):
-    """The polish of a 32 x 32 trap keeps at most ~2 (n+1)^2 arrays alive:
-    the bordered system and the copy that the dense solve factors."""
+def test_matrix_free_newton_phase_peaks_below_2_5_bordered_arrays(monkeypatch):
+    """The matrix-free _newton_phase runs on a 32 x 32 trap and keeps its
+    traced peak below 2.5 (n+1)^2 doubles: under the bordered (n+1)^2
+    system and the factored copy that a dense Newton solve would hold."""
     G = build_torus([32, 32])
     x, y = G.coords.T
     spec = PotentialSpec(5e-4 * ((x - 15.5) ** 2 + (y - 15.5) ** 2), np.ones(G.n), 0.5)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,24 @@ def test_closed_form_just_past_its_threshold_is_marginal():
 def test_spectrum_reports_a_failed_factorization():
     # -L(rho) has a negative definite grounded block: Cholesky breaks down
     G = path_graph(3)
-    L = weighted_laplacian(G, np.full(3, 1.0 / 3.0))
+    rows, cols, vals = G.laplacian_entries(G.weights / 3.0)  # L(rho) at rho = 1/3
+    minus_identity = (np.arange(3), np.arange(3), -np.ones(3))  # B = I
     with pytest.raises(GraphNLSError, match="reduction failed"):
-        spectrum(HamiltonianMatrix(-L, np.eye(3)))
+        spectrum(HamiltonianMatrix(3, (rows, cols, -vals), minus_identity))
+
+
+def test_reduction_keeps_at_most_three_square_arrays():
+    # a reduction that holds the dense L(rho_g), B, the grounded block,
+    # LAPACK's copy and the Cholesky factor at once peaks at 5 n^2 doubles
+    G = build_torus([32, 32])
+    x, y = G.coords.T
+    spec = PotentialSpec(5e-4 * ((x - 15.5) ** 2 + (y - 15.5) ** 2), np.ones(G.n), 1.0)
+    rho_g = solve_ground_state(G, spec).rho_g
+    tracemalloc.start()
+    try:
+        rep = spectrum(hamiltonian_matrix(G, spec, rho_g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "spectrally_stable"
+    assert peak < 3.5 * G.n**2 * 8

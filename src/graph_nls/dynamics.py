@@ -44,6 +44,7 @@ from .energy import (
     wave_edge_field,
 )
 from .graph import Graph, dense, edge_means
+from .krylov import entries_times, gmres
 from .transport import metric_conductances
 
 __all__ = [
@@ -201,13 +202,13 @@ class _NewtonMatrix:
 
     ``build`` freezes J at one midpoint as the (rows, cols, values) entries
     of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W, never an
-    n x n array.  A product K x is one gather and one ``np.bincount``.
-    ``solve`` runs GMRES on M from x = F, so every correction lies in
-    range(J), whose density half sums to zero: each update keeps the mass
-    exactly, as an exact solve would.  It asks a far-off iterate only for
-    a relative reduction of min(0.1, |F|) (an inexact Newton forcing term)
-    and a near one for an absolute residual of _GMRES_TOL times ``tol``,
-    the Newton tolerance, which the caller sets before solving.
+    n x n array.  ``solve`` runs ``krylov.gmres`` on M from x = F, so every
+    correction lies in range(J), whose density half sums to zero: each
+    update keeps the mass exactly, as an exact solve would.  It asks a
+    far-off iterate only for a relative reduction of min(0.1, |F|) (an
+    inexact Newton forcing term) and a near one for an absolute residual of
+    _GMRES_TOL times ``tol``, the Newton tolerance, which the caller sets
+    before solving.
     ``simulate`` reuses one holder across the Newton iterations and the
     steps of a run.  The holder also keeps the starts of the last steps of
     one unbroken run at one dt, from which ``predict`` extrapolates the
@@ -230,63 +231,21 @@ class _NewtonMatrix:
 
     def build(self, G, spec, mid, dt):
         rows, cols, vals = _jacobian_entries(G, spec, mid)
-        self._rows, self._cols, self._vals = rows, cols, 0.5 * dt * vals
-        self._size = 2 * G.n
-        self._basis = np.empty((_KRYLOV_DIM, self._size))
+        self._k_times = entries_times(rows, cols, 0.5 * dt * vals, 2 * G.n)  # K x = dt/2 J x
         self._frozen = np.concatenate([mid.rho, mid.S])  # the midpoint J is frozen at
         self.rate = None
         self.dt = dt
         self.builds += 1
 
-    def _k_times(self, x):
-        """K x = dt/2 J x."""
-        self.matvecs += 1
-        return np.bincount(self._rows, self._vals * x[self._cols], self._size)
-
     def solve(self, F):
-        """x with a small residual |F - M x| in the 2-norm, by GMRES from x = F.
-
-        The Arnoldi process runs on K; M = I - K has the same Krylov
-        spaces, and its Hessenberg matrix is the identity minus K's.  The
-        least-squares problem is reduced by Givens rotations on floats.
-        Stops early, with the best x so far, after _KRYLOV_DIM products;
-        the Newton iteration then goes on from that inexact update.
-        """
+        """The Newton update x, with a small residual |F - M x|, or GMRES's best
+        after _KRYLOV_DIM products, from which the Newton iteration goes on."""
         self.iterations += 1
         f_norm = math.sqrt(F.dot(F))
         tol = max(_GMRES_TOL * self.tol, min(0.1, f_norm) * f_norm)
-        w = self._k_times(F)  # the residual F - M F of the start x = F
-        g = [math.sqrt(w.dot(w))]  # the rotated right-hand side
-        if not g[0] < math.inf:
-            raise NewtonDivergence("GMRES residual is not finite")
-        basis = self._basis
-        norm = g[0]
-        cols, rotations = [], []
-        k = 0
-        while abs(g[-1]) > tol and k < _KRYLOV_DIM:
-            v = np.divide(w, norm, out=basis[k])
-            w = self._k_times(v)
-            h = basis[: k + 1].dot(w)  # classical Gram-Schmidt
-            w -= h.dot(basis[: k + 1])
-            norm = math.sqrt(w.dot(w))
-            col = (-h).tolist()  # the new column of M's Hessenberg matrix
-            col[-1] += 1.0
-            for i, (cs, sn) in enumerate(rotations):
-                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
-            d = math.hypot(col[-1], norm)
-            if not 0.0 < d < math.inf:
-                raise NewtonDivergence("GMRES broke down: the Newton matrix is singular")
-            cs, sn = col[-1] / d, -norm / d
-            rotations.append((cs, sn))
-            col[-1] = d
-            cols.append(col)
-            g.append(-sn * g[-1])
-            g[-2] *= cs
-            k += 1
-        y = [0.0] * k
-        for i in reversed(range(k)):
-            y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, k))) / cols[i][i]
-        return F + np.array(y).dot(basis[:k])
+        x, products = gmres(self._k_times, F, tol, _KRYLOV_DIM)
+        self.matvecs += products
+        return x
 
     def calibrate(self, ratio, zm):
         """Record the contraction r1/r0 of a step's first update, ending at midpoint zm.

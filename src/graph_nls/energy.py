@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import as_is, floats, number, read_kind, read_section
 from .errors import ConfigError, ZeroModulus
-from .graph import Graph, check_interior, dense, edge_means, grad
+from .graph import Graph, check_interior, edge_means, grad
 
 __all__ = [
     "PotentialSpec",
@@ -188,11 +188,6 @@ def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
     rows, cols, vals = static_log_hessian_entries(G, spec, rho)
     vals /= rho[rows] * rho[cols]
     return rows, cols, vals
-
-
-def static_hessian(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
-    """Dense n x n Hessian (h^2/8) Hess I + W of the static energy."""
-    return dense(*static_hessian_entries(G, spec, rho), G.n)
 
 
 def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):

@@ -3,9 +3,9 @@
 The objective is (h^2/8) I(rho) + V(rho) + W(rho).  The solver is one
 Newton loop in u = log rho, which keeps every iterate strictly interior
 (matching the Fisher term's blow-up at the boundary).  Each direction is a
-truncated, diagonally preconditioned conjugate-gradient solve of the
-Newton system projected onto sum(delta rho) = 0, applied matrix-free in
-O(n + m) per product (Steihaug 1983; Nocedal & Wright, Alg. 7.1).  Armijo
+truncated, diagonally preconditioned conjugate-gradient solve
+(``krylov.projected_cg``) of the Newton system projected onto
+sum(delta rho) = 0, applied matrix-free in O(n + m) per product.  Armijo
 backtracking on the energy, with an allowance for its roundoff, globalizes
 it.  Where the Newton direction fails, the same backtracking along
 -(grad - nu) in u, a mirror-descent step, is the fallback.
@@ -29,6 +29,7 @@ from .energy import (
 )
 from .dynamics import schrodinger_operator
 from .graph import Graph
+from .krylov import entries_times, projected_cg
 
 __all__ = [
     "GroundStateResult",
@@ -112,17 +113,13 @@ STALL_STEP = 1e-2
 def _newton_direction(G, spec, rho, dg, target):
     """A truncated Newton direction du in u = log rho, and its product count.
 
-    Solves H du = -rho dg on rho^T du = 0, where H = diag(rho) Hess E
-    diag(rho) + diag(rho dg) is the Hessian of the Lagrangian in u, held
-    as entries: a product is one gather and one ``np.bincount``.  The
-    solve is projected CG, preconditioned by a diagonal M that adds up the
-    sizes of the diagonal terms of H, so it stays positive where H is
-    indefinite.  It stops once the residual of the linearized stationarity
-    system, read in rho as the KKT residual is, falls to ``target``; after
-    CG_MAX_PRODUCTS products, or once its updated residual is down to
-    roundoff, it returns the iterate with the smallest such residual.  At
-    negative curvature it returns its iterate so far, or the preconditioned
-    steepest-descent direction if there is none yet.
+    Solves H du = -rho dg on rho^T du = 0 by ``krylov.projected_cg``, where
+    H = diag(rho) Hess E diag(rho) + diag(rho dg) is the Hessian of the
+    Lagrangian in u, held as entries.  The preconditioner is a diagonal M
+    that adds up the sizes of the diagonal terms of H, so it stays positive
+    where H is indefinite.  CG's residual is read in rho, as the KKT
+    residual is, and the solve stops at ``target`` or after CG_MAX_PRODUCTS
+    products.
     """
     n = G.n
     rows, cols, vals = static_log_hessian_entries(G, spec, rho)
@@ -138,9 +135,6 @@ def _newton_direction(G, spec, rho, dg, target):
     q = inv_m * rho
     q /= rho @ q
 
-    def h_times(x):
-        return np.bincount(rows, vals * x[cols], n)
-
     def precondition(r):  # M^-1 r, projected onto rho^T y = 0 in the M metric
         y = inv_m * r
         return y - q * (rho @ y)
@@ -148,35 +142,9 @@ def _newton_direction(G, spec, rho, dg, target):
     def residual(r):  # r / rho less its multiplier, as grad - nu is
         return float(np.abs(r / rho - r.sum()).max())
 
-    x = np.zeros(n)
-    r = curv  # the residual H x + rho dg at x = 0
-    best, best_x = np.inf, x
-    y = precondition(r)
-    ry = r @ y
-    d = -y
-    products = 0
-    while products < CG_MAX_PRODUCTS:
-        hd = h_times(d)
-        products += 1
-        curvature = d @ hd
-        if not curvature > 0:
-            return (x if products > 1 else d), products
-        alpha = ry / curvature
-        x = x + alpha * d
-        r = r + alpha * hd
-        res = residual(r)
-        if res < best:
-            best, best_x = res, x
-            if res <= target:
-                break
-        y = precondition(r)
-        ry_new = r @ y
-        if not ry_new > 0:  # r is down to the roundoff of its updates
-            break
-        d *= ry_new / ry
-        d -= y
-        ry = ry_new
-    return best_x, products
+    # curv is the residual H du + rho dg at du = 0
+    return projected_cg(entries_times(rows, cols, vals, n), curv, precondition, residual,
+                        target, CG_MAX_PRODUCTS)
 
 
 def _newton_step(G, spec, rho, energy, du, slope):

@@ -52,23 +52,12 @@ class HamiltonianMatrix:
     laplacian: tuple  # L(rho_g), the top right block
     hessian: tuple  # the static Hessian -B; the bottom left block is B
 
-    @property
-    def top_right(self) -> np.ndarray:
-        """L(rho_g) as an n x n matrix, assembled on each access."""
-        return dense(*self.laplacian, self.n)
-
-    @property
-    def bottom_left(self) -> np.ndarray:
-        """B = -W - (h^2/8) Hess I(rho_g) as an n x n matrix, assembled on each access."""
-        B = dense(*self.hessian, self.n)
-        return np.negative(B, out=B)
-
     def full(self) -> np.ndarray:
+        """The 2n x 2n matrix [[0, L], [B, 0]], assembled on each call."""
         n = self.n
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, n:] = self.top_right
-        H[n:, :n] = self.bottom_left
-        return H
+        (lr, lc, lv), (hr, hc, hv) = self.laplacian, self.hessian
+        return dense(np.concatenate([lr, n + hr]), np.concatenate([n + lc, hc]),
+                     np.concatenate([lv, -hv]), 2 * n)
 
 
 @dataclass(frozen=True)

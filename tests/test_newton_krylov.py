@@ -14,7 +14,7 @@ from graph_nls import (
     simulate,
 )
 from graph_nls import dynamics, verify
-from graph_nls.energy import static_hessian
+from graph_nls.energy import static_hessian_entries
 from graph_nls.graph import dense, edge_means
 from conftest import random_connected_graph, random_interior
 
@@ -27,7 +27,7 @@ def dense_jacobian(G, spec, state):
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = A
     J[:n, n:] = G.laplacian(G.weights * edge_means(G, state.rho))
-    J[n:, :n] = -static_hessian(G, spec, state.rho)
+    J[n:, :n] = -dense(*static_hessian_entries(G, spec, state.rho), n)
     J[n:, n:] = -A.T
     return J
 

@@ -52,8 +52,8 @@ def test_vector_interaction_matches_dense_oracle(rng, alpha):
         terms = [energy_terms(G, spec, st.rho, st.S) for spec in (vec, dense)]
         assert gap(*terms) <= 1e-13
         assert gap(ground_gradient(G, vec, st.rho), ground_gradient(G, dense, st.rho)) <= 1e-13
-        assert gap(hamiltonian_matrix(G, vec, st.rho).bottom_left,
-                   hamiltonian_matrix(G, dense, st.rho).bottom_left) <= 1e-13
+        assert gap(hamiltonian_matrix(G, vec, st.rho).full()[n:, :n],
+                   hamiltonian_matrix(G, dense, st.rho).full()[n:, :n]) <= 1e-13
         a, b = simulate(G, vec, st, cfg), simulate(G, dense, st, cfg)
         assert a.error is None and b.error is None and len(a) == len(b) == 51
         assert gap(a.rhos, b.rhos) <= 1e-13 and gap(a.Ss, b.Ss) <= 1e-13

@@ -55,11 +55,10 @@ def test_block_structure_gpe():
     n, alpha, h = 5, 0.8, 1.0
     G = cycle_graph(n)
     spec = PotentialSpec.gpe(n, alpha, h)
-    H = hamiltonian_matrix(G, spec, np.full(n, 1.0 / n))
+    full = hamiltonian_matrix(G, spec, np.full(n, 1.0 / n)).full()
     L = plain_laplacian(G)
-    assert np.abs(H.top_right - L / n).max() < 1e-14
-    assert np.abs(H.bottom_left - (-alpha * np.eye(n) - n * h**2 / 4.0 * L)).max() < 1e-12
-    full = H.full()
+    assert np.abs(full[:n, n:] - L / n).max() < 1e-14
+    assert np.abs(full[n:, :n] - (-alpha * np.eye(n) - n * h**2 / 4.0 * L)).max() < 1e-12
     assert np.all(full[:n, :n] == 0.0)
     assert np.all(full[n:, n:] == 0.0)
 
@@ -69,9 +68,10 @@ def test_bottom_left_without_interaction(rng):
     h = 0.9
     spec = PotentialSpec(rng.normal(0.0, 1.0, G.n), np.zeros((G.n, G.n)), h)
     rho = random_interior(rng, G.n)
-    H = hamiltonian_matrix(G, spec, rho)
-    assert np.abs(H.bottom_left + h**2 / 8.0 * fisher_hessian(G, rho)).max() < 1e-12
-    assert np.abs(H.top_right - weighted_laplacian(G, rho)).max() < 1e-14
+    n = G.n
+    full = hamiltonian_matrix(G, spec, rho).full()
+    assert np.abs(full[n:, :n] + h**2 / 8.0 * fisher_hessian(G, rho)).max() < 1e-12
+    assert np.abs(full[:n, n:] - weighted_laplacian(G, rho)).max() < 1e-14
 
 
 def test_matches_fd_hessian_of_hamiltonian(rng):

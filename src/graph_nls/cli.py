@@ -5,7 +5,9 @@ takes a JSON config (strictly validated: "schema": 1 required, unknown
 keys rejected) and writes its artifacts into --out.
 
 Exit codes: 0 success, 1 usage, config or I/O problem, 2 solver failure
-(partial output is kept), 3 a verify property suite failed.
+(partial output is kept), 3 a verify property suite failed.  A subcommand
+raises its failure; ``main`` alone prints it as one line and exits.  Only
+``ground-state`` returns 2 itself, after it has written every h.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ def _graph(data) -> Graph:
 
 def _potentials(data, G: Graph, h_values=None) -> PotentialSpec:
     """The potentials section; next to ``h_values`` its "h" is optional and one of them."""
-    pdata = read_section(_inline(data, "potentials"), "potentials",
-                         dict.fromkeys(("V", "W", "h"), as_is),
-                         ("V", "W") if h_values else ("V", "W", "h"))
-    spec = potentials_from_dict(pdata, n=G.n, coords=G.coords)
+    data = _inline(data, "potentials")
+    spec = potentials_from_dict(data, n=G.n, coords=G.coords)
+    if not h_values and "h" not in data:
+        raise ConfigError("missing keys in potentials: ['h']")
     # an h that the sweep leaves out would be dropped without a word
-    if h_values and "h" in pdata and spec.h not in h_values:
+    if h_values and "h" in data and spec.h not in h_values:
         raise ConfigError(f'potentials "h" {spec.h:g} is not one of "h_values" {h_values}')
     return spec
 
@@ -189,8 +191,7 @@ def cmd_simulate(cfg_path, out_dir) -> int:
     summary = trajectory_summary(traj)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     if traj.error is not None:
-        print(f"simulate: integrator failed: {traj.error}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise GraphNLSError(f"integrator failed: {traj.error}")
     print(
         f"simulate: {len(traj)} snapshots to t={traj.times[-1]:g}, "
         f"energy drift {summary['max_energy_drift']:.3g}"
@@ -267,20 +268,12 @@ def cmd_stability(cfg_path, out_dir) -> int:
             rho_g = (np.full(G.n, 1.0 / G.n) if rho_g == "uniform"
                      else solve_ground_state(G, spec, tol=tol).rho_g)
         except MaxIterations as exc:
-            print(f"stability: ground-state solve failed: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+            raise GraphNLSError(f"ground-state solve failed: {exc}") from exc
     # the linearization holds only at an equilibrium
     _, kkt = _kkt(ground_gradient(G, spec, rho_g), rho_g)
     if not kkt <= tol:
-        print(f"stability: rho_g is not stationary: KKT residual {kkt:.3g} > {tol:.3g}",
-              file=sys.stderr)
-        return EXIT_SOLVER
-
-    try:
-        report = spectrum(hamiltonian_matrix(G, spec, rho_g))
-    except GraphNLSError as exc:
-        print(f"stability: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise GraphNLSError(f"rho_g is not stationary: KKT residual {kkt:.3g} > {tol:.3g}")
+    report = spectrum(hamiltonian_matrix(G, spec, rho_g))
     out = {
         "rho_g": rho_g,
         "kkt_residual": kkt,
@@ -325,27 +318,19 @@ def cmd_dispersion(cfg_path, out_dir) -> int:
         G = _graph(data["graph"])
     if G.torus_dims is None:
         raise ConfigError("dispersion needs a torus graph")
-    dims = G.torus_dims
-    mode_list = data.get("modes")
-    if mode_list is None:
-        grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
-        mode_list = np.stack([g.ravel() for g in grids], axis=1)
-    elif mode_list.ndim != 2 or mode_list.shape[1] != len(dims):
+    dims = np.asarray(G.torus_dims)
+    modes = data.get("modes")
+    if modes is None:
+        modes = np.indices(dims).reshape(len(dims), -1).T
+    elif modes.ndim != 2 or modes.shape[1] != len(dims):
         raise ConfigError(f'"modes" must be a list of {len(dims)}-vectors')
     rows = []
-    worst = 0.0
-    for m in mode_list:
-        k = 2.0 * np.pi * m / (np.asarray(dims) * G.delta_x)
-        resid = plane_wave_residual(G, k)
-        worst = max(worst, resid)
-        rows.append([*m, *k, 0.5 * float(k @ k), resid])
-    header = (
-        [f"m_{i+1}" for i in range(len(dims))]
-        + [f"k_{i+1}" for i in range(len(dims))]
-        + ["mu", "residual"]
-    )
+    for m in modes:
+        k = 2.0 * np.pi * m / (dims * G.delta_x)
+        rows.append([*m, *k, 0.5 * float(k @ k), plane_wave_residual(G, k)])
+    header = [f"{c}_{i+1}" for c in "mk" for i in range(len(dims))] + ["mu", "residual"]
     write_csv(os.path.join(out_dir, "dispersion.csv"), header, rows)
-    print(f"dispersion: {len(rows)} modes, worst residual {worst:.3g}")
+    print(f"dispersion: {len(rows)} modes, worst residual {max(row[-1] for row in rows):.3g}")
     return EXIT_OK
 
 

@@ -192,7 +192,11 @@ def _lattice_weight(weight_mode, weight, dx):
     if weight_mode == "continuum":
         if weight is not None:
             raise ConfigError('"weight" is used only with weight_mode "constant"')
-        return 1.0 / dx**2
+        with np.errstate(all="ignore"):  # out of range, 1/dx^2 becomes 0 or inf
+            w = 1.0 / np.float64(dx) ** 2  # numpy's scalar ** calls C pow, as a float's does
+        if not 0.0 < w < np.inf:
+            raise ConfigError(f"lattice spacing {dx:g}: its weight 1/dx^2 is out of float range")
+        return w
     if weight_mode == "constant":
         return 1.0 if weight is None else float(weight)
     raise ConfigError(f"unknown weight_mode {weight_mode!r}")

@@ -36,7 +36,9 @@ def gmres(k_times, b, tol, max_dim):
     products past the first, with the best x so far.  Returns (x, products),
     where products = k + 1 for a Krylov space of dimension k.  Raises
     NewtonDivergence when the first residual is not finite, or when the
-    iteration breaks down on a singular I - K.
+    iteration breaks down on a singular I - K: a Givens pivot at most
+    1e-12 times the largest entry of I, K's Hessenberg column and its
+    subdiagonal.
     """
     w = k_times(b)  # the residual b - (I - K) b of the start x = b
     g = [math.sqrt(w.dot(w))]  # the rotated right-hand side
@@ -53,11 +55,13 @@ def gmres(k_times, b, tol, max_dim):
         w -= h.dot(basis[: k + 1])
         norm = math.sqrt(w.dot(w))
         col = (-h).tolist()  # the new column of the Hessenberg matrix of I - K
+        scale = max(1.0, norm, *map(abs, col))  # the largest entry of I and of K's column
         col[-1] += 1.0
         for i, (cs, sn) in enumerate(rotations):
             col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
         d = math.hypot(col[-1], norm)
-        if not 0.0 < d < math.inf:
+        # a pivot at roundoff against the entries of I and K: I - K is singular
+        if not 1e-12 * scale < d < math.inf:
             raise NewtonDivergence("GMRES broke down: the Newton matrix is singular")
         cs, sn = col[-1] / d, -norm / d
         rotations.append((cs, sn))

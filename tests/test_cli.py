@@ -87,7 +87,14 @@ def test_simulate_two_point_example(tmp_path):
     assert summary["min_rho"] > 0.0
 
 
-def test_simulate_solver_failure_keeps_partial(tmp_path):
+def one_solver_error_line(capsys):
+    """The stderr of a run so far, checked to be one "solver error:" line."""
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+def test_simulate_solver_failure_keeps_partial(tmp_path, capsys):
     cfg = simulate_config(
         initial={"rho": [1e-8, 1.0 - 1e-8], "S": [0.0, 10.0]},
         integrator={"dt": 1e-3, "T": 1.0, "newton_tol": 1e-12},
@@ -95,6 +102,7 @@ def test_simulate_solver_failure_keeps_partial(tmp_path):
     path = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "out"
     assert run(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "integrator failed" in one_solver_error_line(capsys)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] is not None
     assert summary["halvings"] == 5
@@ -332,7 +340,7 @@ def test_stability_exits_2_when_its_solve_fails(tmp_path, capsys):
                            tol=1e-300)
     path = write_config(tmp_path, "c.json", cfg)
     assert run(["stability", "--config", path, "--out", str(out)]) == 2
-    assert "ground-state solve failed" in capsys.readouterr().err
+    assert "ground-state solve failed" in one_solver_error_line(capsys)
     assert not (out / "spectrum.json").exists()
 
 
@@ -343,7 +351,7 @@ def test_stability_rejects_non_stationary_density(tmp_path, capsys):
     cfg = stability_config(graph=graph, potentials=potentials, rho_g="uniform")
     path = write_config(tmp_path, "c.json", cfg)
     assert run(["stability", "--config", path, "--out", str(out)]) == 2
-    assert "not stationary" in capsys.readouterr().err
+    assert "not stationary" in one_solver_error_line(capsys)
     assert not (out / "spectrum.json").exists()
     # the ground state of the same system is stationary and reports its residual
     path = write_config(tmp_path, "c.json", {**cfg, "rho_g": "solve"})
@@ -417,7 +425,7 @@ def test_stability_non_finite_spectrum_is_a_solver_error(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, "c.json", cfg)
     assert run(["stability", "--config", path, "--out", str(out)]) == 2
-    assert "not finite" in capsys.readouterr().err
+    assert "not finite" in one_solver_error_line(capsys)
     assert not (out / "spectrum.json").exists()
 
 
@@ -640,6 +648,20 @@ def test_bad_graphs_and_usage_errors_exit_1(tmp_path, capsys, case, prefix):
     args = case(lambda cfg: write_config(tmp_path, "c.json", cfg))
     assert _exit_code(args + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("graph", [
+    {"builder": "torus", "dims": [4], "delta_x": 1e-200},
+    {"builder": "torus", "dims": [4], "delta_x": 1e200},
+    {"builder": "path", "n": 4, "x_min": 0.0, "x_max": 1e-200},
+], ids=["torus-tiny", "torus-huge", "path-tiny"])
+def test_spacing_whose_weight_leaves_the_float_range_is_a_config_error(tmp_path, capsys, graph):
+    # 1e-200 and the path's spacing square to 0, and 1e200 squares to inf
+    path = write_config(tmp_path, "c.json", dispersion_config(graph=graph))
+    assert run(["dispersion", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lattice spacing") and err.count("\n") == 1
 
 
 def test_help_exits_0_and_lists_a_seed_for_verify_only(capsys):

@@ -79,6 +79,15 @@ def test_lattice_weight_is_read_in_constant_mode_only():
     assert np.allclose(build_torus([4], 0.5, weight_mode="constant").weights, 1.0)
 
 
+def test_continuum_weight_is_one_over_dx_squared_to_the_edge_of_the_float_range():
+    # 1/dx^2 near 1.8e308 and near the smallest normal float are still weights
+    for dx in (0.1, 0.37, 1.0, 7.5e-155, 1.3e154):
+        assert np.all(build_torus([3], delta_x=dx).weights == 1.0 / dx**2)
+    for dx in (1e-200, 1e200):
+        with pytest.raises(ConfigError, match="lattice spacing"):
+            build_torus([3], delta_x=dx)
+
+
 def test_torus_1d_is_cycle():
     G = build_torus([8], 1.0)
     assert G.n == 8 and G.m == 8

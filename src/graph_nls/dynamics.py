@@ -10,10 +10,17 @@ invariant and the wave function Psi = sqrt(rho) exp(i S / h) satisfies
 the Schrodinger-type equation with the nonlinear graph Laplacian.
 Default integrator is the implicit midpoint rule (symplectic; simplified
 Newton iteration started from a quadratic extrapolation of the last three
-steps, each update a GMRES solve with the analytic Jacobian applied
-matrix-free in O(n + m), stopped on the true residual or, after a first
-update, on a contraction estimate that a true residual refreshes at least
-every ninth step), with classical RK4 available for cross-checks.
+steps, stopped on the true residual or, after a first update, on a
+contraction estimate that a true residual refreshes at least every ninth
+step), with classical RK4 available for cross-checks.  The Newton matrix
+I - dt/2 J is chosen by size alone: at 2n <= _DIRECT_SIZE (256) it is
+factored once per build and each update is one dense product, so
+``krylov_matvecs`` reads 0 and ``factorizations`` counts real
+factorizations; above it each update is a GMRES solve with the analytic
+Jacobian applied matrix-free in O(n + m).  An exact update right after a
+build contracts only by its quadratic term, which would make the
+contraction estimate optimistic for the steps after it; the calibration
+therefore floors that ratio at the error a GMRES update is allowed.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .energy import (
     static_hessian_entries,
     wave_edge_field,
 )
-from .graph import Graph, dense, edge_means
+from .graph import Graph, _lattice_weight, dense, edge_means
 from .krylov import entries_times, gmres
 from .transport import metric_conductances
 
@@ -108,9 +115,11 @@ class Trajectory:
     being the time of the step that failed.
     ``newton_iterations``, ``krylov_matvecs``, ``factorizations`` and
     ``extrapolated_starts`` count the implicit midpoint's Newton updates,
-    the products with the Jacobian that their GMRES solves made, the builds
-    of the Newton operator and the Newton solves started from the
-    extrapolated predictor, over every step tried, failed ones included.
+    the products with the Jacobian that their GMRES solves made (0 when
+    the Newton matrix is factored, at 2n <= _DIRECT_SIZE), the builds of
+    the Newton operator (each a factorization there) and the Newton solves
+    started from the extrapolated predictor, over every step tried, failed
+    ones included.
     ``estimated_stops`` counts the steps that stopped after their first
     update on the contraction estimate, without evaluating the residual
     there; every other step stopped on a residual within ``newton_tol``.
@@ -192,23 +201,40 @@ def _extrapolate(starts):
 _GMRES_TOL = 1e-3
 _KRYLOV_DIM = 30
 
+# A Newton matrix of size 2n <= _DIRECT_SIZE is factored once per build and
+# each update is one dense product; a larger one is solved by GMRES.  On a
+# cycle or square torus at dt = 1e-3 (2 CPUs, numpy 2.4.6, OpenBLAS 0.3.31):
+#   2n                     128      256      392      512
+#   dense product (us)     6        10       26       60-77
+#   GMRES update (us)      20-39    23-37    40-61    48-77  (2-3 products)
+#   factorization (ms)     0.9      6.5      9.8      20.4   (per build)
+# so at 2n = 256 a build pays for itself after ~400 updates; runs of 1000
+# steps were mostly faster factored up to 2n = 288, mixed at 392 and slower
+# at 512.
+_DIRECT_SIZE = 256
+# the factored matrix is singular when an entry of (I - K)^-1 K reaches this
+_SINGULAR = 1e12
+
 # at most this many steps in a row stop on the contraction estimate; the
 # next one evaluates its residual, which measures the contraction afresh
 _ESTIMATED_RUN = 8
 
 
 class _NewtonMatrix:
-    """The simplified-Newton matrix M = I - dt/2 J, applied matrix-free.
+    """The simplified-Newton matrix M = I - dt/2 J, factored or matrix-free.
 
     ``build`` freezes J at one midpoint as the (rows, cols, values) entries
-    of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W, never an
-    n x n array.  ``solve`` runs ``krylov.gmres`` on M from x = F, so every
-    correction lies in range(J), whose density half sums to zero: each
-    update keeps the mass exactly, as an exact solve would.  It asks a
-    far-off iterate only for a relative reduction of min(0.1, |F|) (an
-    inexact Newton forcing term) and a near one for an absolute residual of
-    _GMRES_TOL times ``tol``, the Newton tolerance, which the caller sets
-    before solving.
+    of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W.  When
+    2n <= _DIRECT_SIZE it also factors M once, keeping C = M^-1 K densely,
+    and ``solve`` returns x = F + C F = M^-1 F, one product; a singular M
+    raises NewtonDivergence.  Above that size ``solve`` runs
+    ``krylov.gmres`` on M from x = F, never forming an n x n array.  It
+    asks a far-off iterate only for a relative reduction of min(0.1, |F|)
+    (an inexact Newton forcing term) and a near one for an absolute
+    residual of _GMRES_TOL times ``tol``, the Newton tolerance, which the
+    caller sets before solving.  Either way the correction x - F lies in
+    range(J), whose density half sums to zero: each update keeps the mass
+    to the roundoff of the correction, not of x.
     ``simulate`` reuses one holder across the Newton iterations and the
     steps of a run.  The holder also keeps the starts of the last steps of
     one unbroken run at one dt, from which ``predict`` extrapolates the
@@ -231,16 +257,37 @@ class _NewtonMatrix:
 
     def build(self, G, spec, mid, dt):
         rows, cols, vals = _jacobian_entries(G, spec, mid)
-        self._k_times = entries_times(rows, cols, 0.5 * dt * vals, 2 * G.n)  # K x = dt/2 J x
+        size, k_vals = 2 * G.n, 0.5 * dt * vals
+        self._k_times = entries_times(rows, cols, k_vals, size)  # K x = dt/2 J x
+        self._correction = None
+        self._allowed = 0.0  # min(0.1, max|F|) of the last exact update
+        if size <= _DIRECT_SIZE:
+            K = dense(rows, cols, k_vals, size)
+            try:
+                # (I - K)^-1 = I + C with C = (I - K)^-1 K: x = F + C F
+                C = np.linalg.solve(np.eye(size) - K, K)
+            except np.linalg.LinAlgError:
+                C = None
+            if C is None or not np.abs(C).max() < _SINGULAR:  # a NaN fails too
+                raise NewtonDivergence("the Newton matrix is singular")
+            self._correction = C
         self._frozen = np.concatenate([mid.rho, mid.S])  # the midpoint J is frozen at
         self.rate = None
         self.dt = dt
         self.builds += 1
 
     def solve(self, F):
-        """The Newton update x, with a small residual |F - M x|, or GMRES's best
-        after _KRYLOV_DIM products, from which the Newton iteration goes on."""
+        """The Newton update x: M^-1 F below _DIRECT_SIZE; above it, x with a
+        small residual |F - M x|, or GMRES's best after _KRYLOV_DIM products,
+        from which the Newton iteration goes on.  A non-finite F raises
+        NewtonDivergence either way."""
         self.iterations += 1
+        if self._correction is not None:
+            f_max = float(np.abs(F).max())
+            if not f_max < math.inf:  # a NaN fails the test too
+                raise NewtonDivergence("Newton residual is not finite")
+            self._allowed = min(0.1, f_max)  # for ``calibrate``
+            return F + self._correction.dot(F)
         f_norm = math.sqrt(F.dot(F))
         tol = max(_GMRES_TOL * self.tol, min(0.1, f_norm) * f_norm)
         x, products = gmres(self._k_times, F, tol, _KRYLOV_DIM)
@@ -252,8 +299,14 @@ class _NewtonMatrix:
 
         The contraction of simplified Newton grows with the distance of the
         midpoint from the one J is frozen at, so the rate is kept per unit
-        of that distance.
+        of that distance.  An exact update right after a build contracts
+        only by its quadratic term, far below what the frozen J gives the
+        steps after it, so below _DIRECT_SIZE the ratio is floored at
+        min(0.1, r0), the relative error a GMRES update is allowed (r0 the
+        max|F| that update solved).
         """
+        if self._correction is not None:
+            ratio = max(ratio, self._allowed)
         distance = float(np.abs(zm - self._frozen).max())
         self.rate = float(ratio) / distance if distance > 0 else None
         self._run = 0
@@ -516,13 +569,18 @@ def plane_wave_residual(G: Graph, k) -> float:
     """Sup-norm residual of i dPsi/dt = -1/2 Lap_G Psi for a plane wave.
 
     ``k`` is the wave vector (one entry per torus dimension) and must be
-    commensurate with the torus; mu = |k|^2 / 2.  The per-edge phase
+    commensurate with the torus; mu = |k|^2 / 2, which needs the torus's
+    weights to be 1/dx^2 (a ConfigError otherwise).  The per-edge phase
     differences are taken along the minimal torus displacement between
     neighbors (the smooth branch of the plane-wave phase), so the
     dispersion relation is exact for every commensurate k.
     """
     if G.torus_dims is None or G.coords is None or G.delta_x is None:
         raise ConfigError("plane waves need a torus graph with coordinates")
+    # mu = |k|^2 / 2 holds for the continuum weights 1/dx^2 alone
+    w = _lattice_weight("continuum", None, G.delta_x)
+    if not np.isclose(G.weights, w, rtol=1e-12, atol=0.0).all():
+        raise ConfigError(f"plane waves need every weight 1/dx^2 = {w:g} (dx = {G.delta_x:g})")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if len(k) != len(G.torus_dims):
         raise ConfigError("wave vector dimension mismatch")

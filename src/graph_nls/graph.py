@@ -214,6 +214,8 @@ def build_path_lattice(n, x_min, x_max, weight_mode="continuum", weight=None) ->
         raise ConfigError("path lattice needs at least 2 nodes")
     if not x_min < x_max:
         raise ConfigError("need x_min < x_max")
+    if not float(x_max) - float(x_min) < np.inf:  # np.linspace would overflow
+        raise ConfigError(f"lattice spacing of [{x_min:g}, {x_max:g}]: its width overflows")
     xs = np.linspace(x_min, x_max, n)
     dx = xs[1] - xs[0]
     w = _lattice_weight(weight_mode, weight, dx)

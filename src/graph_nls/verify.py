@@ -472,10 +472,13 @@ def run_suites(names=None, seed: int = 0, tolerances=None) -> dict:
         for run in starts:
             runs.start(*run)
         if "reversibility" in names:
-            # the backward runs start from the forward runs' state at t = 2
-            battery, _ = runs.read(_HORIZONS["reversibility"])
-            for k, (*_, fwd) in enumerate(battery or ()):
-                runs.start(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
+            # a backward run starts from its forward run's state at t = 2; it
+            # is queued as soon as that run returns, in battery order, not
+            # after all three
+            for k in cases:
+                fwd, _ = _cut("", runs.result(_forward, k, T), _HORIZONS["reversibility"])
+                if fwd is not None and fwd.error is None:
+                    runs.start(_backward, k, fwd.rhos[-1], fwd.Ss[-1])
         checks = [
             runs.result(_whole, name) if name in _WHOLE
             else SUITES[name](seed=seed, runs=runs)

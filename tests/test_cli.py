@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graph_nls import build_graph, cli, save_graph_json
+from graph_nls import build_graph, cli, dynamics, save_graph_json
 from graph_nls.io import write_json
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -134,8 +134,17 @@ def test_simulate_summary_reports_newton_work(tmp_path):
 
 
 def test_simulate_summary_reports_krylov_matvecs(tmp_path):
+    # the smallest cycle whose Newton matrix GMRES solves
+    n = dynamics._DIRECT_SIZE // 2 + 1
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.5, 1.0, n)
+    cfg = simulate_config(
+        graph={"builder": "torus", "dims": [n]},
+        potentials={"V": [0.0] * n, "W": {"kind": "zero"}, "h": 1.0},
+        initial={"rho": (rho / rho.sum()).tolist(), "S": rng.normal(0.0, 0.3, n).tolist()},
+    )
     out = tmp_path / "out"
-    path = write_config(tmp_path, "c.json", simulate_config())
+    path = write_config(tmp_path, "c.json", cfg)
     assert run(["simulate", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     keys = list(summary)
@@ -655,9 +664,11 @@ def test_bad_graphs_and_usage_errors_exit_1(tmp_path, capsys, case, prefix):
     {"builder": "torus", "dims": [4], "delta_x": 1e-200},
     {"builder": "torus", "dims": [4], "delta_x": 1e200},
     {"builder": "path", "n": 4, "x_min": 0.0, "x_max": 1e-200},
-], ids=["torus-tiny", "torus-huge", "path-tiny"])
+    {"builder": "path", "n": 4, "x_min": -1e308, "x_max": 1e308},
+], ids=["torus-tiny", "torus-huge", "path-tiny", "path-wide"])
 def test_spacing_whose_weight_leaves_the_float_range_is_a_config_error(tmp_path, capsys, graph):
-    # 1e-200 and the path's spacing square to 0, and 1e200 squares to inf
+    # 1e-200 and the path's spacing square to 0, 1e200 squares to inf, and
+    # the wide path's width x_max - x_min is inf
     path = write_config(tmp_path, "c.json", dispersion_config(graph=graph))
     assert run(["dispersion", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -781,6 +792,29 @@ def test_dispersion_torus_4x4(tmp_path):
     assert lines[0] == "m_1,m_2,k_1,k_2,mu,residual"
     assert len(lines) == 1 + 16
     assert all(float(l.split(",")[-1]) <= 1e-12 for l in lines[1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("graph, code", [
+    ({"builder": "torus", "dims": [8], "delta_x": 2.0, "weight_mode": "constant",
+      "weight": 0.25}, 0),
+    ({"builder": "torus", "dims": [8], "delta_x": 2.0, "weight_mode": "constant"}, 1),
+    ({"builder": "torus", "dims": [8], "delta_x": 1e200, "weight_mode": "constant"}, 1),
+], ids=["constant-one-over-dx-squared", "constant-dx-2", "constant-dx-huge"])
+def test_dispersion_needs_weights_of_one_over_dx_squared(tmp_path, capsys, graph, code):
+    # mu = |k|^2 / 2 holds only for weights 1/dx^2: at dx = 2 the constant
+    # weight 1 would give residuals up to 4.01 (README's minimal config, with
+    # the continuum weights, is test_dispersion_cycle8)
+    path = write_config(tmp_path, "c.json", dispersion_config(graph=graph, modes="all"))
+    out = tmp_path / "out"
+    assert run(["dispersion", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        rows = (out / "dispersion.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 8 and all(float(r.split(",")[-1]) <= 1e-12 for r in rows)
+    else:
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (out / "dispersion.csv").exists()
 
 
 def test_dispersion_rejects_non_torus(tmp_path):

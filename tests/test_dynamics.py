@@ -232,6 +232,25 @@ def test_simplified_newton_matches_full_newton(rng):
                 assert np.abs(traj.Ss[k] - ref.S).max() <= 1e-11
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_newton_solves_on_both_sides_of_the_crossover_match_full_newton(side):
+    # 2n at the crossover takes the direct solve, 2n + 2 above it GMRES
+    n = dynamics._DIRECT_SIZE // 2 + (side == "above")
+    G = build_torus([n], 1.0)
+    rng = np.random.default_rng(7)
+    spec = PotentialSpec(rng.normal(0.0, 1.0, n), np.full(n, 0.5), 1.0)
+    state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+    cfg = IntegratorConfig(dt=5e-3, T=0.1, newton_tol=1e-13)
+    traj = simulate(G, spec, state, cfg)
+    assert traj.error is None and len(traj) == 21
+    assert (traj.krylov_matvecs > 0) == (side == "above")
+    ref = state
+    for k in range(1, 21):
+        ref = full_newton_step(G, spec, ref, cfg.dt, cfg.newton_tol)
+        assert np.abs(traj.rhos[k] - ref.rho).max() <= 1e-11
+        assert np.abs(traj.Ss[k] - ref.S).max() <= 1e-11
+
+
 def test_newton_matrix_reused_across_steps(monkeypatch):
     calls = []  # one per build of the Newton operator
     real = dynamics._jacobian_entries

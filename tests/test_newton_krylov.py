@@ -1,5 +1,6 @@
 """The implicit midpoint's matrix-free Newton operator and its GMRES solve."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from graph_nls import (
     IntegratorConfig,
+    NewtonDivergence,
     PotentialSpec,
     SystemState,
+    build_graph,
+    build_path_lattice,
     build_torus,
     rhs_jacobian,
     simulate,
@@ -71,23 +75,31 @@ def test_operator_matches_dense_oracle(rng, kind):
             assert abs(x[:n].sum() - F[:n].sum()) <= 1e-14 * scale
 
 
+# the fewest nodes whose Newton matrix GMRES solves: 2n above the crossover
+GMRES_NODES = dynamics._DIRECT_SIZE // 2 + 1
+
+
 def test_solve_counts_products_and_stops_at_the_tolerance():
-    G = build_torus([4], 1.0)
-    spec = PotentialSpec.free(4)
+    n = GMRES_NODES
+    G = build_torus([n], 1.0)
+    spec = PotentialSpec.free(n)
     rng = np.random.default_rng(3)
-    state = SystemState(random_interior(rng, 4), rng.normal(0.0, 0.3, 4))
+    state = SystemState(random_interior(rng, n), rng.normal(0.0, 0.3, n))
     newton = dynamics._NewtonMatrix()
     newton.build(G, spec, state, 1e-3)
     newton.tol = 1e-12
     # the start x = F already meets the tolerance: one product, x = F
-    F = np.full(8, 1e-20)
+    F = np.full(2 * n, 1e-20)
     assert np.array_equal(newton.solve(F), F) and newton.matvecs == 1
-    newton.solve(rng.normal(0.0, 1e-9, 8))
+    newton.solve(rng.normal(0.0, 1e-9, 2 * n))
     assert newton.iterations == 2 and 3 <= newton.matvecs <= 5
 
 
 def test_far_residual_stops_at_the_forcing_term():
-    _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
+    # the battery's path_20 (spacing 10/19, free, h = 1) grown to GMRES_NODES
+    G = build_path_lattice(GMRES_NODES, -5.0, -5.0 + (GMRES_NODES - 1) * 10.0 / 19.0)
+    spec = PotentialSpec.free(G.n, h=1.0)
+    state = verify._battery_state(G, 0.004, 0)
     newton = dynamics._NewtonMatrix()
     newton.build(G, spec, state, 0.5)
     newton.tol = 1e-13
@@ -102,6 +114,51 @@ def test_far_residual_stops_at_the_forcing_term():
     assert products[0] < products[1]
 
 
+@pytest.mark.parametrize("n", [2, dynamics._DIRECT_SIZE // 2])
+def test_direct_solve_below_the_crossover_makes_no_krylov_products(n):
+    G = build_torus([n], 1.0) if n > 2 else build_graph(2, [(0, 1, 1.0)])
+    rng = np.random.default_rng(2)
+    state = SystemState(random_interior(rng, n), rng.normal(0.0, 0.3, n))
+    cfg = IntegratorConfig(dt=1e-3, T=0.05, newton_tol=1e-13, output_every=10)
+    traj = simulate(G, PotentialSpec.gpe(n, 1.0), state, cfg)
+    assert traj.error is None and traj.halvings == 0
+    assert traj.newton_iterations >= 50 and traj.factorizations >= 1
+    assert traj.krylov_matvecs == 0
+
+
+def projection_entries(n, dt):
+    """Entries of J with dt/2 J = v v^T / |v|^2: I - dt/2 J is singular, and no
+    pivot of its factorization need be exactly 0."""
+    v = np.random.default_rng(4).normal(0.0, 1.0, 2 * n)
+    rows, cols = np.indices((2 * n, 2 * n)).reshape(2, -1)
+    return rows, cols, (2.0 / dt) * np.outer(v, v).ravel() / v.dot(v)
+
+
+@pytest.mark.parametrize("n", [dynamics._DIRECT_SIZE // 2, GMRES_NODES],
+                         ids=["direct", "gmres"])
+def test_singular_newton_matrix_halves_the_step(monkeypatch, n):
+    G = build_torus([n], 1.0)
+    spec = PotentialSpec.free(n)
+    rng = np.random.default_rng(6)
+    state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+    dt = 1e-3
+    real = dynamics._jacobian_entries
+    monkeypatch.setattr(dynamics, "_jacobian_entries", lambda *args: projection_entries(n, dt))
+    newton = dynamics._NewtonMatrix()
+    newton.tol = 1e-13
+    # the factorization finds it at the build, GMRES at the first update
+    with pytest.raises(NewtonDivergence, match="singular"):
+        newton.build(G, spec, state, dt)
+        newton.solve(rng.normal(0.0, 1e-6, 2 * n))
+    # the first build is singular, and simulate retries at dt / 2
+    faults = itertools.count()
+    monkeypatch.setattr(dynamics, "_jacobian_entries",
+                        lambda *args: projection_entries(n, dt) if next(faults) == 0
+                        else real(*args))
+    traj = simulate(G, spec, state, IntegratorConfig(dt=dt, T=5e-3, newton_tol=1e-13))
+    assert traj.error is None and traj.halvings == 1
+
+
 def test_stiff_battery_case_takes_no_halvings():
     _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
     cfg = IntegratorConfig(dt=0.5, T=100.0, newton_tol=1e-13, output_every=10**9)
@@ -109,7 +166,7 @@ def test_stiff_battery_case_takes_no_halvings():
     steps = 200
     assert traj.error is None and traj.halvings == 0
     assert traj.newton_iterations <= 7 * steps
-    # ~117 products per step; 168 with the absolute stop alone
+    # path_20 is below the crossover: its updates make no GMRES product
     assert traj.krylov_matvecs <= 140 * steps
 
 

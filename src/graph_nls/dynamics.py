@@ -225,9 +225,9 @@ class _NewtonMatrix:
 
     ``build`` freezes J at one midpoint as the (rows, cols, values) entries
     of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W.  When
-    2n <= _DIRECT_SIZE it also factors M once, keeping C = M^-1 K densely,
-    and ``solve`` returns x = F + C F = M^-1 F, one product; a singular M
-    raises NewtonDivergence.  Above that size ``solve`` runs
+    2n <= _DIRECT_SIZE it factors M from them once, keeping C = M^-1 K
+    densely, and ``solve`` returns x = F + C F = M^-1 F, one product; a
+    singular M raises NewtonDivergence.  Above that size ``solve`` runs
     ``krylov.gmres`` on M from x = F, never forming an n x n array.  It
     asks a far-off iterate only for a relative reduction of min(0.1, |F|)
     (an inexact Newton forcing term) and a near one for an absolute
@@ -252,25 +252,28 @@ class _NewtonMatrix:
         self.estimated = 0
         self.rate = None  # contraction per unit distance from the frozen midpoint
         self._run = 0  # estimated stops since the last calibration
+        self._allowed = 0.0  # the calibration floor the last update set
         self._last = None  # (state returned by the last step, its dt)
         self._starts = []  # starts of the steps since the last reset, at most 3
 
     def build(self, G, spec, mid, dt):
+        """Freeze J at ``mid`` for ``dt``; a singular M raises NewtonDivergence
+        and leaves the holder with the operator it had."""
         rows, cols, vals = _jacobian_entries(G, spec, mid)
         size, k_vals = 2 * G.n, 0.5 * dt * vals
-        self._k_times = entries_times(rows, cols, k_vals, size)  # K x = dt/2 J x
-        self._correction = None
-        self._allowed = 0.0  # min(0.1, max|F|) of the last exact update
+        k_times = correction = None
         if size <= _DIRECT_SIZE:
             K = dense(rows, cols, k_vals, size)
             try:
                 # (I - K)^-1 = I + C with C = (I - K)^-1 K: x = F + C F
-                C = np.linalg.solve(np.eye(size) - K, K)
+                correction = np.linalg.solve(np.eye(size) - K, K)
             except np.linalg.LinAlgError:
-                C = None
-            if C is None or not np.abs(C).max() < _SINGULAR:  # a NaN fails too
+                pass
+            if correction is None or not np.abs(correction).max() < _SINGULAR:  # a NaN fails too
                 raise NewtonDivergence("the Newton matrix is singular")
-            self._correction = C
+        else:
+            k_times = entries_times(rows, cols, k_vals, size)  # K x = dt/2 J x
+        self._k_times, self._correction = k_times, correction
         self._frozen = np.concatenate([mid.rho, mid.S])  # the midpoint J is frozen at
         self.rate = None
         self.dt = dt
@@ -288,6 +291,7 @@ class _NewtonMatrix:
                 raise NewtonDivergence("Newton residual is not finite")
             self._allowed = min(0.1, f_max)  # for ``calibrate``
             return F + self._correction.dot(F)
+        self._allowed = 0.0
         f_norm = math.sqrt(F.dot(F))
         tol = max(_GMRES_TOL * self.tol, min(0.1, f_norm) * f_norm)
         x, products = gmres(self._k_times, F, tol, _KRYLOV_DIM)
@@ -301,12 +305,12 @@ class _NewtonMatrix:
         midpoint from the one J is frozen at, so the rate is kept per unit
         of that distance.  An exact update right after a build contracts
         only by its quadratic term, far below what the frozen J gives the
-        steps after it, so below _DIRECT_SIZE the ratio is floored at
-        min(0.1, r0), the relative error a GMRES update is allowed (r0 the
-        max|F| that update solved).
+        steps after it, so the ratio is floored at what ``solve`` allowed
+        the update: min(0.1, r0), the relative error a GMRES update may
+        leave (r0 the max|F| the update solved), below _DIRECT_SIZE, and
+        0 above it.
         """
-        if self._correction is not None:
-            ratio = max(ratio, self._allowed)
+        ratio = max(ratio, self._allowed)
         distance = float(np.abs(zm - self._frozen).max())
         self.rate = float(ratio) / distance if distance > 0 else None
         self._run = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graph_nls import build_graph
+from graph_nls import build_graph, dynamics
 
 
 def cycle_graph(n, w=1.0):
@@ -42,3 +42,9 @@ def random_interior(rng, n, low=0.2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def gmres_only(monkeypatch):
+    """Solve every implicit midpoint Newton matrix by GMRES, whatever its size."""
+    monkeypatch.setattr(dynamics, "_DIRECT_SIZE", 0)

@@ -232,6 +232,10 @@ def test_simplified_newton_matches_full_newton(rng):
                 assert np.abs(traj.Ss[k] - ref.S).max() <= 1e-11
 
 
+def test_simplified_newton_matches_full_newton_by_gmres(gmres_only, rng):
+    test_simplified_newton_matches_full_newton(rng)
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_newton_solves_on_both_sides_of_the_crossover_match_full_newton(side):
     # 2n at the crossover takes the direct solve, 2n + 2 above it GMRES
@@ -464,6 +468,11 @@ def test_every_returned_step_meets_newton_tol_on_random_graphs(monkeypatch, rng)
             state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
             assert simulate(G, spec, state, cfg).error is None
     assert len(ratios) >= 60 * 50 and max(ratios) <= 1.0
+
+
+def test_every_returned_step_meets_newton_tol_on_random_graphs_by_gmres(gmres_only, monkeypatch,
+                                                                         rng):
+    test_every_returned_step_meets_newton_tol_on_random_graphs(monkeypatch, rng)
 
 
 def test_estimated_stops_save_the_confirming_rhs_call(monkeypatch):

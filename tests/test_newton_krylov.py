@@ -63,7 +63,10 @@ def test_operator_matches_dense_oracle(rng, kind):
         newton.tol = 1e-13
         for _ in range(3):
             x = rng.normal(0.0, 1.0, 2 * n)
-            assert np.abs(x - newton._k_times(x) - M @ x).max() <= 1e-14 * scale
+            if newton._correction is None:  # GMRES applies K = dt/2 J matrix-free
+                assert np.abs(x - newton._k_times(x) - M @ x).max() <= 1e-14 * scale
+            else:  # the factored matrix keeps C = M^-1 K: M (x + C x) = x
+                assert np.abs(M @ (x + newton._correction.dot(x)) - x).max() <= 1e-14 * scale
         # a residual near convergence is solved to the absolute GMRES
         # tolerance 1e-3 newton_tol, a far one to the relative min(0.1, |F|)
         for scale in (1e-12, 1e-8, 1e-3):
@@ -73,6 +76,11 @@ def test_operator_matches_dense_oracle(rng, kind):
             assert np.linalg.norm(M @ x - F) <= max(1e-16, min(0.1, f_norm) * f_norm)
             # the correction lies in range(J): the density half keeps F's mass
             assert abs(x[:n].sum() - F[:n].sum()) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "dense"])
+def test_operator_matches_dense_oracle_by_gmres(gmres_only, rng, kind):
+    test_operator_matches_dense_oracle(rng, kind)
 
 
 # the fewest nodes whose Newton matrix GMRES solves: 2n above the crossover
@@ -159,15 +167,63 @@ def test_singular_newton_matrix_halves_the_step(monkeypatch, n):
     assert traj.error is None and traj.halvings == 1
 
 
-def test_stiff_battery_case_takes_no_halvings():
+def test_singular_rebuild_of_a_guessed_start_keeps_the_factored_matrix(monkeypatch):
+    # a guessed start whose rebuild at the same dt is singular fails, and the
+    # retry from Euler goes on with the factored matrix the holder had
+    n = dynamics._DIRECT_SIZE // 2
+    G = build_torus([n], 1.0)
+    spec = PotentialSpec.free(n)
+    rng = np.random.default_rng(6)
+    state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+    cfg = IntegratorConfig(dt=1e-2, newton_tol=1e-13)
+    newton = dynamics._NewtonMatrix()
+    for _ in range(3):
+        state = dynamics.step(G, spec, state, cfg, newton)
+    kept, builds, guesses = newton._correction, newton.builds, newton.extrapolated
+    real = dynamics._jacobian_entries
+    faults = itertools.count()
+    monkeypatch.setattr(dynamics, "_jacobian_entries",
+                        lambda *args: projection_entries(n, cfg.dt) if next(faults) == 0
+                        else real(*args))
+    # the history extrapolates to a start whose density is off by up to 90%,
+    # far enough that the first update contracts by less than 10x
+    z = np.concatenate([state.rho, state.S])
+    off = np.concatenate([0.9 * state.rho * rng.uniform(-1.0, 1.0, n), np.zeros(n)])
+    newton._starts = [z + off, z]
+    new = dynamics.step(G, spec, state, cfg, newton)
+    assert next(faults) == 1  # the one build tried was the singular one
+    assert newton.extrapolated == guesses + 1 and newton.builds == builds
+    assert newton._correction is kept and newton.dt == cfg.dt
+    assert newton.matvecs == 0
+    zn = np.concatenate([new.rho, new.S])
+    zm = 0.5 * (z + zn)
+    mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * cfg.dt)
+    F = zn - z - cfg.dt * np.concatenate(dynamics.rhs(G, spec, mid))
+    assert np.abs(F).max() <= cfg.newton_tol
+
+
+def stiff_battery_run():
+    """The battery's path_20 at dt = 0.5 over 200 steps: no halvings, and at
+    most 7 Newton updates per step."""
     _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
     cfg = IntegratorConfig(dt=0.5, T=100.0, newton_tol=1e-13, output_every=10**9)
     traj = simulate(G, spec, state, cfg)
     steps = 200
     assert traj.error is None and traj.halvings == 0
     assert traj.newton_iterations <= 7 * steps
+    return traj, steps
+
+
+def test_stiff_battery_case_takes_no_halvings():
+    traj, _ = stiff_battery_run()
     # path_20 is below the crossover: its updates make no GMRES product
-    assert traj.krylov_matvecs <= 140 * steps
+    assert traj.krylov_matvecs == 0
+
+
+def test_stiff_battery_case_takes_no_halvings_by_gmres(gmres_only):
+    traj, steps = stiff_battery_run()
+    # ~117 products per step; 168 with the absolute stop alone
+    assert 0 < traj.krylov_matvecs <= 140 * steps
 
 
 def test_two_midpoint_steps_on_a_64x64_torus_hold_no_n_by_n_array():

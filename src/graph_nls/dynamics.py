@@ -17,10 +17,10 @@ I - dt/2 J is chosen by size alone: at 2n <= _DIRECT_SIZE (256) it is
 factored once per build and each update is one dense product, so
 ``krylov_matvecs`` reads 0 and ``factorizations`` counts real
 factorizations; above it each update is a GMRES solve with the analytic
-Jacobian applied matrix-free in O(n + m).  An exact update right after a
-build contracts only by its quadratic term, which would make the
-contraction estimate optimistic for the steps after it; the calibration
-therefore floors that ratio at the error a GMRES update is allowed.
+Jacobian applied matrix-free in O(n + m).  On both paths the contraction
+a step measures is floored at the error a GMRES update is allowed: an
+update right after a build contracts only by its quadratic term, which
+would make the estimate optimistic for the steps after it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     ZeroModulus,
 )
 from .energy import (
-    MASS_TOL,
     PotentialSpec,
     check_interior,
     energy_terms,
@@ -70,7 +69,7 @@ __all__ = [
 ]
 
 # how far from 1 the mass of simulate's initial density may be
-INITIAL_MASS_TOL = 1e3 * MASS_TOL
+INITIAL_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,11 @@ def _extrapolate(starts):
     return 3.0 * (z0 - z1) + z2
 
 
-# GMRES stops once |F - M x| <= max(_GMRES_TOL * newton_tol, min(0.1, |F|) |F|)
+# GMRES stops once |F - M x| <= max(_GMRES_TOL * newton_tol, min(_FORCING, |F|) |F|)
 # in the 2-norm, and after at most _KRYLOV_DIM matrix-vector products past
-# the first
+# the first.  ``_newton_solve`` floors the contraction r1/r0 of a step's
+# first update at the same min(_FORCING, r0), r0 = max|F|, on both paths
+_FORCING = 0.1
 _GMRES_TOL = 1e-3
 _KRYLOV_DIM = 30
 
@@ -229,7 +230,7 @@ class _NewtonMatrix:
     densely, and ``solve`` returns x = F + C F = M^-1 F, one product; a
     singular M raises NewtonDivergence.  Above that size ``solve`` runs
     ``krylov.gmres`` on M from x = F, never forming an n x n array.  It
-    asks a far-off iterate only for a relative reduction of min(0.1, |F|)
+    asks a far-off iterate only for a relative reduction of min(_FORCING, |F|)
     (an inexact Newton forcing term) and a near one for an absolute
     residual of _GMRES_TOL times ``tol``, the Newton tolerance, which the
     caller sets before solving.  Either way the correction x - F lies in
@@ -252,7 +253,6 @@ class _NewtonMatrix:
         self.estimated = 0
         self.rate = None  # contraction per unit distance from the frozen midpoint
         self._run = 0  # estimated stops since the last calibration
-        self._allowed = 0.0  # the calibration floor the last update set
         self._last = None  # (state returned by the last step, its dt)
         self._starts = []  # starts of the steps since the last reset, at most 3
 
@@ -286,14 +286,11 @@ class _NewtonMatrix:
         NewtonDivergence either way."""
         self.iterations += 1
         if self._correction is not None:
-            f_max = float(np.abs(F).max())
-            if not f_max < math.inf:  # a NaN fails the test too
+            if not np.abs(F).max() < math.inf:  # a NaN fails the test too
                 raise NewtonDivergence("Newton residual is not finite")
-            self._allowed = min(0.1, f_max)  # for ``calibrate``
             return F + self._correction.dot(F)
-        self._allowed = 0.0
         f_norm = math.sqrt(F.dot(F))
-        tol = max(_GMRES_TOL * self.tol, min(0.1, f_norm) * f_norm)
+        tol = max(_GMRES_TOL * self.tol, min(_FORCING, f_norm) * f_norm)
         x, products = gmres(self._k_times, F, tol, _KRYLOV_DIM)
         self.matvecs += products
         return x
@@ -303,14 +300,8 @@ class _NewtonMatrix:
 
         The contraction of simplified Newton grows with the distance of the
         midpoint from the one J is frozen at, so the rate is kept per unit
-        of that distance.  An exact update right after a build contracts
-        only by its quadratic term, far below what the frozen J gives the
-        steps after it, so the ratio is floored at what ``solve`` allowed
-        the update: min(0.1, r0), the relative error a GMRES update may
-        leave (r0 the max|F| the update solved), below _DIRECT_SIZE, and
-        0 above it.
+        of that distance.  The caller floors the ratio (see _FORCING).
         """
-        ratio = max(ratio, self._allowed)
         distance = float(np.abs(zm - self._frozen).max())
         self.rate = float(ratio) / distance if distance > 0 else None
         self._run = 0
@@ -387,7 +378,7 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
         F = z1 - z0 - dt * fm
         res = np.abs(F).max()
         if it == 1:
-            newton.calibrate(res / prev, zm)
+            newton.calibrate(max(res / prev, min(_FORCING, prev)), zm)
         if res <= cfg.newton_tol:
             return SystemState(z1[:n], z1[n:], state.t + dt)
         if not np.isfinite(res):

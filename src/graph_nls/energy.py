@@ -34,8 +34,6 @@ __all__ = [
     "wave_energy_components",
 ]
 
-MASS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -254,7 +252,8 @@ def _constant(n, coords, value=0.0):
 def _harmonic(n, coords, coefficient=0.5):
     if coords is None:
         raise ConfigError("harmonic potential needs node coordinates")
-    return coefficient * np.sum(np.atleast_2d(coords) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # PotentialSpec rejects a V out of range
+        return coefficient * np.sum(np.atleast_2d(coords) ** 2, axis=1)
 
 
 def _dense(n, matrix):

@@ -187,6 +187,14 @@ def build_graph(n, edges, coords=None, **meta) -> Graph:
     return Graph(n=n, ej=ej, el=el, weights=w, coords=coords, **meta)
 
 
+def _lattice_spacing(dx, steps):
+    """dx as a float, checked: positive, and steps * dx (the lattice's extent) finite."""
+    dx = float(dx)
+    if not (0.0 < dx and dx * int(steps) < np.inf):  # a NaN fails too
+        raise ConfigError(f"lattice spacing {dx:g}: not positive, or its lattice is not finite")
+    return dx
+
+
 def _lattice_weight(weight_mode, weight, dx):
     """The edge weight of a lattice with spacing dx: 1/dx^2 or the given one."""
     if weight_mode == "continuum":
@@ -217,10 +225,10 @@ def build_path_lattice(n, x_min, x_max, weight_mode="continuum", weight=None) ->
     if not float(x_max) - float(x_min) < np.inf:  # np.linspace would overflow
         raise ConfigError(f"lattice spacing of [{x_min:g}, {x_max:g}]: its width overflows")
     xs = np.linspace(x_min, x_max, n)
-    dx = xs[1] - xs[0]
+    dx = _lattice_spacing(xs[1] - xs[0], n - 1)
     w = _lattice_weight(weight_mode, weight, dx)
     edges = [(j, j + 1, w) for j in range(n - 1)]
-    return build_graph(n, edges, coords=xs.reshape(-1, 1), delta_x=float(dx))
+    return build_graph(n, edges, coords=xs.reshape(-1, 1), delta_x=dx)
 
 
 def build_torus(dims, delta_x=1.0, weight_mode="continuum", weight=None) -> Graph:
@@ -231,8 +239,7 @@ def build_torus(dims, delta_x=1.0, weight_mode="continuum", weight=None) -> Grap
     dims = tuple(int(d) for d in dims)
     if any(d < 3 for d in dims):
         raise ConfigError("each torus dimension must be >= 3 (else multi-edges)")
-    if delta_x <= 0:
-        raise ConfigError("delta_x must be positive")
+    delta_x = _lattice_spacing(delta_x, max(dims) - 1)  # the largest coordinate
     w = _lattice_weight(weight_mode, weight, delta_x)
     n = int(np.prod(dims))
     idx = np.arange(n).reshape(dims)
@@ -243,9 +250,7 @@ def build_torus(dims, delta_x=1.0, weight_mode="continuum", weight=None) -> Grap
             edges.append((int(a), int(b), w))
     grids = np.meshgrid(*[np.arange(d) * delta_x for d in dims], indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)
-    return build_graph(
-        n, edges, coords=coords, torus_dims=dims, delta_x=float(delta_x)
-    )
+    return build_graph(n, edges, coords=coords, torus_dims=dims, delta_x=delta_x)
 
 
 def edge_means(G: Graph, rho: np.ndarray) -> np.ndarray:

@@ -554,6 +554,21 @@ def test_misspelt_potential_key_is_a_config_error_naming_it(tmp_path, capsys):
     assert not (tmp_path / "out" / "ground_state.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coefficient", [0.5, 0.0])
+def test_harmonic_potential_out_of_float_range_is_a_config_error(tmp_path, capsys, coefficient):
+    # the end nodes' x^2 = 1e400 is inf, and 0 * inf is NaN
+    graph = {"builder": "path", "n": 5, "x_min": -1e200, "x_max": 1e200,
+             "weight_mode": "constant"}
+    potentials = {"V": {"kind": "harmonic", "coefficient": coefficient}, "W": {"kind": "zero"}}
+    cfg = ground_state_config(graph=graph, potentials=potentials)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["ground-state", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: potentials V and W must be finite\n"
+    assert not (tmp_path / "out" / "ground_state.json").exists()
+
+
 def test_graph_file_rejects_non_integral_endpoints(tmp_path, capsys):
     gfile = tmp_path / "graph.json"
     gfile.write_text(json.dumps({"n": 2, "edges": [[1.9, 2.2, 1.0]]}))
@@ -665,14 +680,29 @@ def test_bad_graphs_and_usage_errors_exit_1(tmp_path, capsys, case, prefix):
     {"builder": "torus", "dims": [4], "delta_x": 1e200},
     {"builder": "path", "n": 4, "x_min": 0.0, "x_max": 1e-200},
     {"builder": "path", "n": 4, "x_min": -1e308, "x_max": 1e308},
-], ids=["torus-tiny", "torus-huge", "path-tiny", "path-wide"])
+    {"builder": "torus", "dims": [4], "delta_x": float("nan"), "weight_mode": "constant"},
+    {"builder": "torus", "dims": [4], "delta_x": float("inf"), "weight_mode": "constant"},
+    {"builder": "torus", "dims": [4], "delta_x": 1e308, "weight_mode": "constant"},
+    {"builder": "torus", "dims": [4], "delta_x": 0.0, "weight_mode": "constant"},
+    {"builder": "path", "n": 4, "x_min": 1.0, "x_max": 1.0 + 2.0**-52,
+     "weight_mode": "constant"},
+], ids=["torus-tiny", "torus-huge", "path-tiny", "path-wide", "torus-constant-nan",
+        "torus-constant-inf", "torus-constant-huge", "torus-constant-zero",
+        "path-constant-step-zero"])
 def test_spacing_whose_weight_leaves_the_float_range_is_a_config_error(tmp_path, capsys, graph):
     # 1e-200 and the path's spacing square to 0, 1e200 squares to inf, and
-    # the wide path's width x_max - x_min is inf
-    path = write_config(tmp_path, "c.json", dispersion_config(graph=graph))
-    assert run(["dispersion", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    # the wide path's width x_max - x_min is inf.  In either weight mode the
+    # spacing must be positive and finite, and the torus's largest coordinate
+    # 3 * 1e308 is inf; the last path's second node 1 + 2^-52 / 3 rounds to 1,
+    # so its spacing is 0
+    path = write_config(tmp_path, "c.json", simulate_config(
+        graph=graph, potentials={"V": [0.0] * 4, "W": {"kind": "zero"}},
+        initial={"rho": [0.25] * 4, "S": [0.0] * 4}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: lattice spacing") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
 
 
 def test_help_exits_0_and_lists_a_seed_for_verify_only(capsys):

@@ -330,8 +330,8 @@ def test_newton_failure_halves_the_step(monkeypatch, fault):
 
         def inject(G, spec, state):
             if next(faults) == 0:
-                # J = (2/dt) e_0 e_0^T: I - dt/2 J is exactly singular, and
-                # GMRES breaks down at its first Arnoldi step
+                # J = (2/dt) e_0 e_0^T: I - dt/2 J is exactly singular, so
+                # the factored build of the two-node matrix fails
                 return np.array([0]), np.array([0]), np.array([2.0 / 1e-3])
             return real(G, spec, state)
 
@@ -504,6 +504,30 @@ def test_estimated_stops_save_the_confirming_rhs_call(monkeypatch):
         run = max(len(r) for r in "".join("e" if s else "." for s in stopped).split("."))
         assert run <= 8, name
         assert traj.estimated_stops == sum(stopped) > 0
+
+
+def test_calibrated_ratio_is_floored_on_the_battery_by_gmres(gmres_only, monkeypatch):
+    # each ratio r1/r0 the contraction estimate is calibrated from is at least
+    # min(0.1, r0), r0 the max|F| of the step's first update: the relative
+    # error a GMRES update may leave.  An update solved more tightly right
+    # after a build would otherwise make the estimate optimistic
+    real_solve, real_calibrate = dynamics._NewtonMatrix.solve, dynamics._NewtonMatrix.calibrate
+    solved, calibrated = [], []
+
+    def solve(self, F):
+        solved.append(float(np.abs(F).max()))
+        return real_solve(self, F)
+
+    def calibrate(self, ratio, zm):
+        calibrated.append((ratio, min(0.1, solved[-1])))  # the step's one update so far
+        return real_calibrate(self, ratio, zm)
+
+    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", solve)
+    monkeypatch.setattr(dynamics._NewtonMatrix, "calibrate", calibrate)
+    cfg = IntegratorConfig(dt=1e-3, T=1.0, newton_tol=1e-13, output_every=10**9)
+    for name, G, spec, state in verify._battery(0):
+        assert simulate(G, spec, state, cfg).error is None, name
+    assert calibrated and all(ratio >= floor for ratio, floor in calibrated)
 
 
 def test_nan_increment_is_never_accepted(monkeypatch):
@@ -727,3 +751,8 @@ def test_gmres_rejects_a_non_finite_residual():
     newton.tol = 1e-13
     with pytest.raises(NewtonDivergence, match="not finite"):
         newton.solve(np.array([1e-3, np.nan, 0.0, 0.0]))
+
+
+def test_gmres_rejects_a_non_finite_residual_by_gmres(gmres_only):
+    # two nodes take the factored path unless every size is solved by GMRES
+    test_gmres_rejects_a_non_finite_residual()

@@ -20,12 +20,18 @@ factorizations; above it each update is a GMRES solve with the analytic
 Jacobian applied matrix-free in O(n + m).  On both paths the contraction
 a step measures is floored at the error a GMRES update is allowed: an
 update right after a build contracts only by its quadratic term, which
-would make the estimate optimistic for the steps after it.
+would make the estimate optimistic for the steps after it.  Every state a
+step returns has a finite density of at least INTERIOR_FLOOR, which
+``check_interior`` accepts; a step that would leave that region raises
+StepLeftSimplex or NewtonDivergence, on which ``simulate`` halves dt.
+``simulate`` evaluates the integrand of ``Trajectory.norm_resid`` once per
+snapshot interval, over the states accepted in it, in one vectorized call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,15 +47,15 @@ from .errors import (
 from .energy import (
     PotentialSpec,
     check_interior,
-    energy_terms,
     fisher_gradient,  # noqa: F401  bench/tests checks that the tracer wraps it here
     hamiltonian,
     interaction_times,
+    normalization_integrand,
     static_gradient,
     static_hessian_entries,
     wave_edge_field,
 )
-from .graph import Graph, _lattice_weight, dense, edge_means
+from .graph import INTERIOR_FLOOR, Graph, _lattice_weight, dense, edge_means
 from .krylov import entries_times, gmres
 from .transport import metric_conductances
 
@@ -103,13 +109,23 @@ class IntegratorConfig:
             raise ConfigError("output_every must be >= 1")
 
 
+# a (rho, S) pair at which the step evaluates rhs or the Newton matrix,
+# which read no time; cheaper to make than a SystemState
+_Point = namedtuple("_Point", "rho S")
+
+
 @dataclass
 class Trajectory:
     """Snapshots plus per-snapshot diagnostics.
 
     ``norm_resid`` is the residual of the phase-normalization identity:
-    sum_j S_j rho_j minus its initial value minus the accumulated
-    integral of 1/2 (grad S, grad S)_rho - (h^2/8) I - V - 2 W.
+    sum_j S_j rho_j minus its initial value minus the integral, by the
+    trapezoid rule over the accepted steps, of 1/2 (grad S, grad S)_rho -
+    (h^2/8) I - V - 2 W.  The integrand is evaluated once per snapshot
+    interval, over the states accepted in it, by one call of
+    ``energy.normalization_integrand`` (sooner when they hold
+    _BATCH_FLOATS floats); the trapezoid then adds the steps in order, so
+    where a batch ends changes it by roundoff at most.
     ``halving_events`` lists each step-size halving as (t, new dt), t
     being the time of the step that failed.
     ``newton_iterations``, ``krylov_matvecs``, ``factorizations`` and
@@ -148,15 +164,21 @@ class Trajectory:
 
 
 def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
-    """Time derivatives (drho/dt, dS/dt) of the Hamiltonian flow."""
+    """Time derivatives (drho/dt, dS/dt) of the Hamiltonian flow.
+
+    Reads ``state.rho`` and ``state.S`` only.
+    """
     # the Fisher gradient checks that rho is an interior density on G
     static = static_gradient(G, spec, state.rho)
-    dS_edge = G.diff(state.S)
-    drho = G.div(G.weights * dS_edge * edge_means(G, state.rho))
-    # dH/drho: half the squared phase differences (dg/drho = 1/2 on both
-    # endpoints) plus the gradient of the static energy
-    q = G.sum_ends(0.25 * G.weights * dS_edge**2)
-    return drho, -(q + static)
+    n = G.n
+    r, s = state.rho[G.ends[:2]], state.S[G.ends[:2]]  # rows: values at ej, at el
+    dS = s[0] - s[1]
+    flux = G.weights * dS * (0.5 * (r[0] + r[1]))
+    # -dH/drho: minus half the squared phase differences (dg/drho = 1/2 on
+    # both endpoints) and minus the gradient of the static energy
+    q = -0.25 * G.weights * dS**2
+    sums = np.bincount(G.ends.ravel(), np.concatenate([flux, -flux, q, q]), 2 * n)
+    return sums[:n], sums[n:] - static
 
 
 def _jacobian_entries(G: Graph, spec: PotentialSpec, state: SystemState):
@@ -330,8 +352,8 @@ class _NewtonMatrix:
         The history continues only when ``state`` is the object the last
         step returned and ``dt`` is that step's dt; otherwise it restarts
         at ``z0``, and the contraction rate is forgotten.  None until three
-        starts are known, and None when the extrapolated density is not
-        strictly positive.
+        starts are known, and None when the extrapolated density is not at
+        least INTERIOR_FLOOR.
         """
         if self._last is None or self._last[0] is not state or self._last[1] != dt:
             self._starts = []
@@ -341,7 +363,7 @@ class _NewtonMatrix:
         if len(self._starts) < 3:
             return None
         z1 = _extrapolate(self._starts)
-        if not z1[: len(z0) // 2].min() > 0:
+        if not z1[: len(z0) // 2].min() >= INTERIOR_FLOOR:
             return None
         self.extrapolated += 1
         return z1
@@ -358,30 +380,30 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     first update when ``newton.stops_on_estimate`` bounds the error left by
     newton_tol; the residual is then not evaluated.  Every step that
     evaluates the residual after its first update recalibrates that
-    estimate; a rebuild of the operator forgets it.
+    estimate; a rebuild of the operator forgets it.  Every iterate it
+    returns is finite with a density of at least INTERIOR_FLOOR.
     """
     n = G.n
     dt = cfg.dt
     newton.tol = cfg.newton_tol
-    prev = np.inf
+    prev = math.inf
     for it in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
-        # z0 is interior, so the midpoint density is positive when z1's is
-        if z1[:n].min() <= 0:
+        # z0 is interior, so the midpoint density is interior when z1's is
+        if not z1[:n].min() >= INTERIOR_FLOOR:
             raise StepLeftSimplex("Newton iterate density left the simplex interior")
         zm = 0.5 * (z0 + z1)
         if it == 1 and newton.stops_on_estimate(zm, dz):
             return SystemState(z1[:n], z1[n:], state.t + dt)
-        mid = SystemState(zm[:n], zm[n:], state.t + 0.5 * dt)
-        fm = np.concatenate(rhs(G, spec, mid))
-        F = z1 - z0 - dt * fm
-        res = np.abs(F).max()
+        mid = _Point(zm[:n], zm[n:])
+        F = z1 - z0 - dt * np.concatenate(rhs(G, spec, mid))
+        res = float(np.abs(F).max())
         if it == 1:
             newton.calibrate(max(res / prev, min(_FORCING, prev)), zm)
         if res <= cfg.newton_tol:
             return SystemState(z1[:n], z1[n:], state.t + dt)
-        if not np.isfinite(res):
+        if not res < math.inf:  # a NaN fails the test too
             raise NewtonDivergence(f"Newton residual is {res}")
         # rebuild at this midpoint when the operator is for another dt, or
         # when the last iteration cut the residual by less than 10x
@@ -410,22 +432,26 @@ def _midpoint_step(G, spec, state, cfg, newton):
 
 
 def _rk4_step(G, spec, state, cfg):
-    dt = cfg.dt
+    dt, n = cfg.dt, G.n
 
-    def f(z, t):
-        if z[: G.n].min() <= 0:
-            raise StepLeftSimplex("RK4 stage density left the simplex interior")
-        return np.concatenate(rhs(G, spec, SystemState(z[: G.n], z[G.n :], t)))
+    def interior(z, what):
+        """z; StepLeftSimplex unless its density is finite and at least INTERIOR_FLOOR."""
+        rho = z[:n]
+        if not (rho.min() >= INTERIOR_FLOOR and rho.max() < math.inf):  # a NaN fails too
+            raise StepLeftSimplex(f"RK4 {what} density left the simplex interior")
+        return z
+
+    def f(z):
+        interior(z, "stage")
+        return np.concatenate(rhs(G, spec, _Point(z[:n], z[n:])))
 
     z0 = np.concatenate([state.rho, state.S])
-    k1 = f(z0, state.t)
-    k2 = f(z0 + 0.5 * dt * k1, state.t + 0.5 * dt)
-    k3 = f(z0 + 0.5 * dt * k2, state.t + 0.5 * dt)
-    k4 = f(z0 + dt * k3, state.t + dt)
-    z1 = z0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if z1[: G.n].min() <= 0:
-        raise StepLeftSimplex("RK4 step density left the simplex interior")
-    return SystemState(z1[: G.n], z1[G.n :], state.t + dt)
+    k1 = f(z0)
+    k2 = f(z0 + 0.5 * dt * k1)
+    k3 = f(z0 + 0.5 * dt * k2)
+    k4 = f(z0 + dt * k3)
+    z1 = interior(z0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), "step")
+    return SystemState(z1[:n], z1[n:], state.t + dt)
 
 
 def step(
@@ -447,9 +473,10 @@ def step(
     return _rk4_step(G, spec, state, cfg)
 
 
-def _norm_integrand(G, spec, rho, S):
-    kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
-    return kin - fisher - pot - 2.0 * inter
+# simulate evaluates the normalization integrand of the steps accepted since
+# the last snapshot in one batch, at the snapshot or once they hold this many
+# floats, whichever comes first
+_BATCH_FLOATS = 8192
 
 
 def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> Trajectory:
@@ -471,7 +498,20 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     traj = Trajectory()
     sp0 = float(state.S @ state.rho)
     acc = 0.0  # running trapezoid of the normalization integrand
-    prev_integrand = _norm_integrand(G, spec, state.rho, state.S)
+    prev_integrand = normalization_integrand(G, spec, state.rho[None], state.S[None]).item()
+    batch = []  # (state, dt) of each step accepted since acc was last advanced
+    batch_cap = max(1, _BATCH_FLOATS // (2 * G.n))
+
+    def advance():
+        """Add the batch's steps to the trapezoid acc, in step order."""
+        nonlocal acc, prev_integrand
+        rhos = np.array([st.rho for st, _ in batch])
+        Ss = np.array([st.S for st, _ in batch])
+        integrands = normalization_integrand(G, spec, rhos, Ss).tolist()
+        for (_, dt_k), integrand in zip(batch, integrands):
+            acc += 0.5 * dt_k * (prev_integrand + integrand)
+            prev_integrand = integrand
+        batch.clear()
 
     def emit(st):
         traj.times.append(st.t)
@@ -484,15 +524,16 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
 
     emit(state)
     t_end = state.t + cfg.T
+    slack = 1e-12 * cfg.T
     dt = cfg.dt
     newton = _NewtonMatrix()
     cfg_k = cfg
     k = 0
-    while state.t < t_end - 1e-12 * cfg.T:
+    while state.t < t_end - slack:
         # a remainder within rounding of dt is a full step: a dt that differs
         # in its last bits would rebuild the Newton matrix for nothing
         rest = t_end - state.t
-        dt_k = dt if rest > dt - 1e-12 * cfg.T else rest
+        dt_k = dt if rest > dt - slack else rest
         if dt_k != cfg_k.dt:
             cfg_k = replace(cfg, dt=dt_k)
         try:
@@ -504,12 +545,13 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
             dt *= 0.5
             traj.halving_events.append((state.t, dt))
             continue
-        integrand = _norm_integrand(G, spec, new.rho, new.S)
-        acc += 0.5 * dt_k * (prev_integrand + integrand)
-        prev_integrand = integrand
+        batch.append((new, dt_k))
         state = new
         k += 1
-        if k % cfg.output_every == 0 or state.t >= t_end - 1e-12 * cfg.T:
+        snapshot = k % cfg.output_every == 0 or state.t >= t_end - slack
+        if snapshot or len(batch) == batch_cap:
+            advance()
+        if snapshot:
             emit(state)
     traj.newton_iterations = newton.iterations
     traj.krylov_matvecs = newton.matvecs

@@ -2,10 +2,10 @@
 
 Fisher information, the linear and interaction potentials, the energy
 terms that every functional combines (the Hamiltonian H(rho, S), the
-ground energy, the action and normalization integrands), and the
-kinetic/potential/interaction split of the wave-form energy.  The
-closed-form gradient of the Fisher information is the hand-differentiated
-formula.  One builder, ``static_log_hessian_entries``, forms the Hessian of
+ground energy and the action integrand), the normalization integrand over
+a stack of states, and the kinetic/potential/interaction split of the
+wave-form energy.  The closed-form gradient of the Fisher information is
+the hand-differentiated formula.  One builder, ``static_log_hessian_entries``, forms the Hessian of
 the static energy, as diag(rho) H diag(rho): a Laplacian over the edges
 plus W, with no 1/rho in it.  The Hessians in rho divide its entries by
 rho_row rho_col.  The test suite cross-checks both against finite
@@ -30,6 +30,7 @@ __all__ = [
     "potential_energy",
     "interaction_energy",
     "energy_terms",
+    "normalization_integrand",
     "hamiltonian",
     "wave_energy_components",
 ]
@@ -113,9 +114,17 @@ def fisher_gradient(G: Graph, rho) -> np.ndarray:
     grad(I) . rho = I(rho).
     """
     rho = check_interior(rho, G.n)
-    d = G.diff(np.log(rho))
+    n = G.n
+    r = rho[G.ends[:2]]  # rows rho_j, rho_l
+    log_r = np.log(r)
+    d = log_r[0] - log_r[1]
     wd = G.weights * d
-    return G.sum_ends(0.5 * wd * d) + G.div(2.0 * wd * edge_means(G, rho)) / rho
+    half = 0.5 * wd * d
+    t = wd * (r[0] + r[1])  # 2 w dlog g
+    # the terms in t nearly cancel at a node where rho is small: they are
+    # summed before the one division by rho
+    sums = np.bincount(G.ends.ravel(), np.concatenate([half, half, t, -t]), 2 * n)
+    return sums[:n] + sums[n:] / rho
 
 
 def _fisher_conductances(G: Graph, rho) -> np.ndarray:
@@ -207,6 +216,29 @@ def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
         potential_energy(spec, rho),
         interaction_energy(spec, rho),
     )
+
+
+def normalization_integrand(G: Graph, spec: PotentialSpec, rho, S) -> np.ndarray:
+    """kin - (h^2/8) I - V - 2 W at each row of the (B, n) stacks rho and S.
+
+    The integrand of the phase-normalization identity (see
+    ``dynamics.Trajectory.norm_resid``): the terms of ``energy_terms``
+    combined, for B states in one evaluation.
+    """
+    rho = check_interior(rho)
+    S = np.asarray(S, dtype=float)
+    if rho.ndim != 2 or rho.shape[1] != G.n or S.shape != rho.shape:
+        raise ConfigError(f"stacks of shapes {rho.shape} and {S.shape}, expected (B, {G.n}) each")
+    # (B, 2, m): the values at ej and at el; np.take gathers along an axis
+    # several times faster than rho[:, ends] on a large graph
+    r, s, log_r = (np.take(x, G.ends[:2], axis=1) for x in (rho, S, np.log(rho)))
+    d = log_r[:, 0] - log_r[:, 1]
+    dS = s[:, 0] - s[:, 1]
+    # with g = (rho_j + rho_l) / 2: 1/2 w dS^2 g - (h^2/8) w dlog^2 g per edge
+    edge = (r[:, 0] + r[:, 1]) * G.weights * (0.25 * dS * dS - spec.h**2 / 16.0 * d * d)
+    w = spec.interaction
+    w_rho = w * rho if w.ndim == 1 else rho @ w  # W is symmetric
+    return edge.sum(axis=1) - (rho * (spec.V + w_rho)).sum(axis=1)
 
 
 def hamiltonian(G: Graph, spec: PotentialSpec, rho, S) -> float:

@@ -13,7 +13,9 @@ edge), ``div`` is D^T f (+f at the lower endpoint, -f at the higher one),
 ``sum_ends`` is |D|^T f (f added at both endpoints), and
 ``laplacian_entries(c)`` is D^T diag(c) D as entries, which ``laplacian(c)``
 assembles densely.  With c = w g this is the transport metric L(rho), and
-grad = sqrt(w) D S.
+grad = sqrt(w) D S.  The code that runs at every time step instead gathers
+over the stacked endpoint index ``ends`` and scatters with one
+``np.bincount`` over it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ class Graph:
     coords : optional node coordinates, shape (n, d).
     torus_dims, delta_x : set by :func:`build_torus`; used by the
         dispersion checks to test wave-number commensurability.
+    sqrt_weights : sqrt(weights).
+    ends : the 4 x m index with rows ej, el, n + ej, n + el.  For a node
+        field x, x[ends[:2]] holds x_j and x_l of every edge as two rows,
+        and np.bincount(ends.ravel(), [a, b, c, d], 2n) is the pair of node
+        fields that adds edge field a at ej and b at el, then c at ej and d
+        at el.
     """
 
     n: int
@@ -69,9 +77,12 @@ class Graph:
     torus_dims: tuple[int, ...] | None = None
     delta_x: float | None = None
     sqrt_weights: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sqrt_weights", np.sqrt(self.weights))
+        ends = np.stack([self.ej, self.el])
+        object.__setattr__(self, "ends", np.concatenate([ends, ends + self.n]))
 
     @property
     def m(self) -> int:

@@ -136,6 +136,39 @@ def test_step_rejects_boundary_crossing():
         step(G, spec, st, cfg)
 
 
+def test_newton_start_below_the_interior_floor_leaves_the_simplex():
+    # a density entry in (0, INTERIOR_FLOOR) is not interior: the solve stops
+    # before its first update instead of returning a state that check_interior
+    # would reject later
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    cfg = IntegratorConfig(dt=1e-3, T=1e-3, newton_tol=1e-13)
+    z0 = np.concatenate([st.rho, st.S])
+    newton = dynamics._NewtonMatrix()
+    with pytest.raises(StepLeftSimplex):
+        dynamics._newton_solve(G, spec, st, cfg, newton, z0, np.array([1e-301, 0.45, 0.1, -0.1]))
+    assert newton.iterations == 0 and newton.builds == 0
+
+
+def test_rk4_result_below_the_interior_floor_leaves_the_simplex(monkeypatch):
+    # the stages stay interior; the fourth slope lands the result's first
+    # density at ~5e-301, below INTERIOR_FLOOR but positive
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    st = SystemState(np.array([1e-299, 1.0 - 1e-299]), np.array([0.0, 0.0]))
+    dt = 1e-3
+    calls = itertools.count()
+
+    def slope(G, spec, state):
+        if next(calls) < 3:
+            return np.zeros(2), np.zeros(2)
+        return np.array([-6.0 * 9.5e-300 / dt, 0.0]), np.zeros(2)
+
+    monkeypatch.setattr(dynamics, "rhs", slope)
+    with pytest.raises(StepLeftSimplex, match="RK4 step"):
+        step(G, spec, st, IntegratorConfig(method="rk4", dt=dt, T=dt))
+    assert next(calls) == 4
+
+
 def test_simulate_constant_trajectory():
     G = two_node()
     spec = PotentialSpec.free(2, 1.0)
@@ -303,16 +336,20 @@ def test_halving_refactors_for_the_new_dt(monkeypatch):
     assert traj.factorizations >= 2
 
 
-def test_halving_events_record_time_and_new_dt(monkeypatch):
-    real_step = dynamics.step
+def fail_steps(monkeypatch, failing):
+    """Make simulate's calls of dynamics.step number ``failing`` (from 0) fail."""
     calls = itertools.count()
 
     def failing_step(G, spec, state, cfg, newton=None):
-        if next(calls) in (3, 6):
+        if next(calls) in failing:
             raise NewtonDivergence("forced")
-        return real_step(G, spec, state, cfg, newton)
+        return step(G, spec, state, cfg, newton)
 
     monkeypatch.setattr(dynamics, "step", failing_step)
+
+
+def test_halving_events_record_time_and_new_dt(monkeypatch):
+    fail_steps(monkeypatch, (3, 6))
     st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
     traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
                     IntegratorConfig(dt=1e-3, T=5e-3, newton_tol=1e-13))
@@ -320,6 +357,36 @@ def test_halving_events_record_time_and_new_dt(monkeypatch):
     # three steps of 1e-3, then two of 5e-4, then the rest at 2.5e-4
     assert traj.halving_events == [(pytest.approx(3e-3), 5e-4), (pytest.approx(4e-3), 2.5e-4)]
     assert traj.times[-1] == pytest.approx(5e-3)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("T, failing", [(0.0505, ()), (0.05, (20,))])
+def test_norm_resid_does_not_depend_on_where_integrand_batches_end(monkeypatch, rng, T, failing,
+                                                                   cap):
+    # simulate evaluates the normalization integrand in batches that end at
+    # the snapshots, or after ``cap`` states, and adds the trapezoid step by
+    # step.  A remainder step (T = 0.0505) or a halving makes the step sizes
+    # differ
+    G = random_connected_graph(rng)
+    n = G.n
+    spec = random_spec(rng, n)
+    state = SystemState(random_interior(rng, n, low=0.5), rng.normal(0.0, 0.3, n))
+    if cap is not None:
+        monkeypatch.setattr(dynamics, "_BATCH_FLOATS", cap * 2 * n)
+    runs = []
+    for every in (1, 7, 10**9):
+        fail_steps(monkeypatch, failing)
+        cfg = IntegratorConfig(dt=1e-3, T=T, newton_tol=1e-13, output_every=every)
+        traj = simulate(G, spec, state, cfg)
+        assert traj.error is None and traj.halvings == len(failing)
+        runs.append(dict(zip(traj.times, traj.norm_resid)))
+    each_step = runs[0]
+    # 50 steps and the remainder, or 20 steps and 60 of half the size
+    assert len(each_step) == 1 + (80 if failing else 51)
+    assert max(map(abs, each_step.values())) > 0.0
+    for run in runs[1:]:
+        assert len(run) >= 2 and set(run) <= set(each_step)
+        assert all(abs(resid - each_step[t]) <= 1e-15 for t, resid in run.items())
 
 
 @pytest.mark.parametrize("fault", ["singular", "nan"])

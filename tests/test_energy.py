@@ -18,6 +18,8 @@ from graph_nls import (
     SystemState,
 )
 from graph_nls.energy import (
+    energy_terms,
+    normalization_integrand,
     potentials_from_dict,
     static_gradient,
     static_hessian_entries,
@@ -334,3 +336,35 @@ def test_static_hessian_entries_are_the_log_entries_over_the_density(rng, W):
         assert np.abs(vals - scaled).max() <= 1e-15 * np.abs(scaled).max()
         c = rng.uniform(0.1, 2.0, G.m)
         assert np.array_equal(G.laplacian(c), dense(*G.laplacian_entries(c), n))
+
+
+@pytest.mark.parametrize("W", ["diagonal", "dense"])
+def test_normalization_integrand_rows_combine_the_energy_terms(rng, W):
+    # each row of a stack is kin - (h^2/8) I - V - 2 W of energy_terms, a
+    # one-row stack included
+    for _ in range(10):
+        G = random_connected_graph(rng)
+        n = G.n
+        A = rng.normal(0.0, 0.5, (n, n))
+        interaction = rng.uniform(-1.0, 1.0, n) if W == "diagonal" else A + A.T
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), interaction, float(rng.uniform(0.3, 1.5)))
+        for rows in (1, 6):
+            rho = np.array([random_interior(rng, n) for _ in range(rows)])
+            S = rng.normal(0.0, 1.0, (rows, n))
+            values = normalization_integrand(G, spec, rho, S)
+            assert values.shape == (rows,)
+            for value, r, s in zip(values, rho, S):
+                kin, fisher, pot, inter = energy_terms(G, spec, r, s)
+                scale = abs(kin) + abs(fisher) + abs(pot) + 2.0 * abs(inter)
+                assert abs(value - (kin - fisher - pot - 2.0 * inter)) <= 1e-14 * scale
+
+
+def test_normalization_integrand_checks_its_stacks():
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    rho, S = np.array([[0.5, 0.5]]), np.array([[0.1, -0.1]])
+    with pytest.raises(ConfigError):
+        normalization_integrand(G, spec, rho[0], S[0])  # not a stack
+    with pytest.raises(ConfigError):
+        normalization_integrand(G, spec, rho, S[:, :1])
+    with pytest.raises(NonInteriorDensity):
+        normalization_integrand(G, spec, np.array([[0.5, 0.5], [1.0, 1e-301]]), np.zeros((2, 2)))

@@ -33,7 +33,7 @@ from .dynamics import (
     simulate,
 )
 from .graph import (GRAPH_KEYS, INTERIOR_FLOOR, Graph, build_graph, build_path_lattice, build_torus,
-                    load_graph_json)
+                    is_interior, load_graph_json)
 from .ground_state import (KKT_TOL, _kkt, check_solver_settings, eigen_residual,
                            ground_gradient, solve_ground_state)
 from .io import trajectory_summary, write_csv, write_json, write_trajectory_csv
@@ -129,7 +129,7 @@ def _potentials(data, G: Graph, h_values=None) -> PotentialSpec:
 def _init_density(value) -> np.ndarray:
     """A start density: finite and in the simplex interior, as the solvers check it."""
     rho = floats(value)
-    if not (rho.min() >= INTERIOR_FLOOR and rho.max() < np.inf):  # a NaN fails the first test
+    if not is_interior(rho):
         raise ConfigError(f"every entry must be finite and at least {INTERIOR_FLOOR:g}")
     return rho
 

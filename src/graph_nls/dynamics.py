@@ -20,9 +20,11 @@ factorizations; above it each update is a GMRES solve with the analytic
 Jacobian applied matrix-free in O(n + m).  On both paths the contraction
 a step measures is floored at the error a GMRES update is allowed: an
 update right after a build contracts only by its quadratic term, which
-would make the estimate optimistic for the steps after it.  Every state a
-step returns has a finite density of at least INTERIOR_FLOOR, which
-``check_interior`` accepts; a step that would leave that region raises
+would make the estimate optimistic for the steps after it.  Both paths
+call the Newton matrix singular by one rule, ``krylov.SINGULAR`` relative
+to the scale of I and dt/2 J.  Every state a step returns has a density
+that ``graph.is_interior`` accepts, the one test of the simplex interior;
+a step that would leave it, or whose Newton matrix is singular, raises
 StepLeftSimplex or NewtonDivergence, on which ``simulate`` halves dt.
 ``simulate`` evaluates the integrand of ``Trajectory.norm_resid`` once per
 snapshot interval, over the states accepted in it, in one vectorized call.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,8 +57,8 @@ from .energy import (
     static_hessian_entries,
     wave_edge_field,
 )
-from .graph import INTERIOR_FLOOR, Graph, _lattice_weight, dense, edge_means
-from .krylov import entries_times, gmres
+from .graph import Graph, _lattice_weight, dense, edge_means, is_interior
+from .krylov import SINGULAR, entries_times, gmres
 from .transport import metric_conductances
 
 __all__ = [
@@ -113,6 +115,9 @@ class IntegratorConfig:
 # which read no time; cheaper to make than a SystemState
 _Point = namedtuple("_Point", "rho S")
 
+# the metadata of the Trajectory lists that hold one entry per snapshot
+_PER_SNAPSHOT = {"snapshot": True}
+
 
 @dataclass
 class Trajectory:
@@ -138,15 +143,17 @@ class Trajectory:
     ``estimated_stops`` counts the steps that stopped after their first
     update on the contraction estimate, without evaluating the residual
     there; every other step stopped on a residual within ``newton_tol``.
+    The lists of one entry per snapshot are declared with _PER_SNAPSHOT,
+    which ``head`` reads.
     """
 
-    times: list = field(default_factory=list)
-    rhos: list = field(default_factory=list)
-    Ss: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    min_rho: list = field(default_factory=list)
-    norm_resid: list = field(default_factory=list)
+    times: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    rhos: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    Ss: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    mass: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    energy: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    min_rho: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
+    norm_resid: list = field(default_factory=list, metadata=_PER_SNAPSHOT)
     error: str | None = None
     halving_events: list = field(default_factory=list)
     newton_iterations: int = 0
@@ -161,6 +168,11 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
+
+    def head(self, k: int) -> Trajectory:
+        """A copy with the first k snapshots: each per-snapshot list cut to k entries."""
+        cut = {f.name: getattr(self, f.name)[:k] for f in fields(self) if "snapshot" in f.metadata}
+        return replace(self, **cut)
 
 
 def rhs(G: Graph, spec: PotentialSpec, state: SystemState):
@@ -235,8 +247,6 @@ _KRYLOV_DIM = 30
 # steps were mostly faster factored up to 2n = 288, mixed at 392 and slower
 # at 512.
 _DIRECT_SIZE = 256
-# the factored matrix is singular when an entry of (I - K)^-1 K reaches this
-_SINGULAR = 1e12
 
 # at most this many steps in a row stop on the contraction estimate; the
 # next one evaluates its residual, which measures the contraction afresh
@@ -249,15 +259,15 @@ class _NewtonMatrix:
     ``build`` freezes J at one midpoint as the (rows, cols, values) entries
     of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W.  When
     2n <= _DIRECT_SIZE it factors M from them once, keeping C = M^-1 K
-    densely, and ``solve`` returns x = F + C F = M^-1 F, one product; a
-    singular M raises NewtonDivergence.  Above that size ``solve`` runs
-    ``krylov.gmres`` on M from x = F, never forming an n x n array.  It
-    asks a far-off iterate only for a relative reduction of min(_FORCING, |F|)
-    (an inexact Newton forcing term) and a near one for an absolute
-    residual of _GMRES_TOL times ``tol``, the Newton tolerance, which the
-    caller sets before solving.  Either way the correction x - F lies in
-    range(J), whose density half sums to zero: each update keeps the mass
-    to the roundoff of the correction, not of x.
+    densely, and ``solve`` returns x = F + C F = M^-1 F, one product; an
+    M that is singular by ``krylov.SINGULAR`` raises NewtonDivergence.
+    Above that size ``solve`` runs ``krylov.gmres`` on M from x = F, never
+    forming an n x n array.  It asks a far-off iterate only for a relative
+    reduction of min(_FORCING, |F|) (an inexact Newton forcing term) and a
+    near one for an absolute residual of _GMRES_TOL times ``tol``, the
+    Newton tolerance, which the caller sets before solving.  Either way the
+    correction x - F lies in range(J), whose density half sums to zero:
+    each update keeps the mass to the roundoff of the correction, not of x.
     ``simulate`` reuses one holder across the Newton iterations and the
     steps of a run.  The holder also keeps the starts of the last steps of
     one unbroken run at one dt, from which ``predict`` extrapolates the
@@ -291,7 +301,9 @@ class _NewtonMatrix:
                 correction = np.linalg.solve(np.eye(size) - K, K)
             except np.linalg.LinAlgError:
                 pass
-            if correction is None or not np.abs(correction).max() < _SINGULAR:  # a NaN fails too
+            # krylov.SINGULAR's rule, against the scale of I and K; a NaN fails too
+            scale = max(1.0, np.abs(K).max())
+            if correction is None or not SINGULAR * np.abs(correction).max() < scale:
                 raise NewtonDivergence("the Newton matrix is singular")
         else:
             k_times = entries_times(rows, cols, k_vals, size)  # K x = dt/2 J x
@@ -352,8 +364,8 @@ class _NewtonMatrix:
         The history continues only when ``state`` is the object the last
         step returned and ``dt`` is that step's dt; otherwise it restarts
         at ``z0``, and the contraction rate is forgotten.  None until three
-        starts are known, and None when the extrapolated density is not at
-        least INTERIOR_FLOOR.
+        starts are known, and None when the extrapolated density is not
+        ``is_interior``.
         """
         if self._last is None or self._last[0] is not state or self._last[1] != dt:
             self._starts = []
@@ -363,7 +375,7 @@ class _NewtonMatrix:
         if len(self._starts) < 3:
             return None
         z1 = _extrapolate(self._starts)
-        if not z1[: len(z0) // 2].min() >= INTERIOR_FLOOR:
+        if not is_interior(z1[: len(z0) // 2]):
             return None
         self.extrapolated += 1
         return z1
@@ -381,7 +393,7 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     newton_tol; the residual is then not evaluated.  Every step that
     evaluates the residual after its first update recalibrates that
     estimate; a rebuild of the operator forgets it.  Every iterate it
-    returns is finite with a density of at least INTERIOR_FLOOR.
+    returns is finite with an ``is_interior`` density.
     """
     n = G.n
     dt = cfg.dt
@@ -391,7 +403,7 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
         # z0 is interior, so the midpoint density is interior when z1's is
-        if not z1[:n].min() >= INTERIOR_FLOOR:
+        if not is_interior(z1[:n]):
             raise StepLeftSimplex("Newton iterate density left the simplex interior")
         zm = 0.5 * (z0 + z1)
         if it == 1 and newton.stops_on_estimate(zm, dz):
@@ -434,15 +446,9 @@ def _midpoint_step(G, spec, state, cfg, newton):
 def _rk4_step(G, spec, state, cfg):
     dt, n = cfg.dt, G.n
 
-    def interior(z, what):
-        """z; StepLeftSimplex unless its density is finite and at least INTERIOR_FLOOR."""
-        rho = z[:n]
-        if not (rho.min() >= INTERIOR_FLOOR and rho.max() < math.inf):  # a NaN fails too
-            raise StepLeftSimplex(f"RK4 {what} density left the simplex interior")
-        return z
-
     def f(z):
-        interior(z, "stage")
+        if not is_interior(z[:n]):
+            raise StepLeftSimplex("RK4 stage density left the simplex interior")
         return np.concatenate(rhs(G, spec, _Point(z[:n], z[n:])))
 
     z0 = np.concatenate([state.rho, state.S])
@@ -450,7 +456,9 @@ def _rk4_step(G, spec, state, cfg):
     k2 = f(z0 + 0.5 * dt * k1)
     k3 = f(z0 + 0.5 * dt * k2)
     k4 = f(z0 + dt * k3)
-    z1 = interior(z0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), "step")
+    z1 = z0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not is_interior(z1[:n]):
+        raise StepLeftSimplex("RK4 step density left the simplex interior")
     return SystemState(z1[:n], z1[n:], state.t + dt)
 
 
@@ -486,10 +494,7 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     failure the step size is halved (at most 5 times); if that is
     exhausted the partial trajectory is returned with ``error`` set.
     """
-    if np.iscomplexobj(initial):
-        state = from_wave(initial, spec.h)
-    else:
-        state = initial
+    state = from_wave(initial, spec.h) if np.iscomplexobj(initial) else initial
     rho = check_interior(state.rho, G.n)
     if abs(rho.sum() - 1.0) > INITIAL_MASS_TOL:
         raise NonInteriorDensity(f"initial mass {rho.sum():.12g} != 1")

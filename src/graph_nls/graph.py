@@ -130,19 +130,22 @@ def dense(rows, cols, vals, size) -> np.ndarray:
 INTERIOR_FLOOR = 1e-300
 
 
+def is_interior(rho) -> bool:
+    """Whether every entry of the density array ``rho`` is finite and at least
+    INTERIOR_FLOOR: the one test of the simplex interior."""
+    # a NaN or -inf fails the first test, a +inf the second
+    return bool(rho.min() >= INTERIOR_FLOOR and rho.max() < np.inf)
+
+
 def check_interior(rho, n=None) -> np.ndarray:
-    """rho as a float array, checked to have shape (n,) and every entry
-    finite and at least INTERIOR_FLOOR."""
+    """rho as a float array, checked to have shape (n,) and to be ``is_interior``."""
     rho = np.asarray(rho, dtype=float)
     if n is not None and rho.shape != (n,):
         raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
-    # a NaN or -inf fails the first test, a +inf the second
-    if not rho.min() >= INTERIOR_FLOOR or rho.max() == np.inf:
+    if not is_interior(rho):
         if not np.isfinite(rho).all():
             raise NonInteriorDensity("density has a non-finite entry")
-        raise NonInteriorDensity(
-            f"density entry {rho.min():.3g} is at the simplex boundary"
-        )
+        raise NonInteriorDensity(f"density entry {rho.min():.3g} is at the simplex boundary")
     return rho
 
 

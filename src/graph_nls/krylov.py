@@ -17,6 +17,14 @@ import numpy as np
 
 from .errors import NewtonDivergence
 
+# The one singularity rule of a Newton matrix I - K, relative to the scale
+# max(1, max|K|) of I and K: ``gmres`` calls it singular at a Givens pivot of
+# at most SINGULAR times that scale, and the factored path of ``dynamics``
+# at an entry of C = (I - K)^-1 K of at least 1 / SINGULAR times it.  An
+# absolute bound on C would reject a well-posed I - K whose K is large, as
+# the Fisher Hessian (~1 / rho) makes it near the simplex boundary.
+SINGULAR = 1e-12
+
 
 def entries_times(rows, cols, vals, size):
     """The product x -> A x with the size x size matrix of (rows, cols, vals)
@@ -37,7 +45,7 @@ def gmres(k_times, b, tol, max_dim):
     where products = k + 1 for a Krylov space of dimension k.  Raises
     NewtonDivergence when the first residual is not finite, or when the
     iteration breaks down on a singular I - K: a Givens pivot at most
-    1e-12 times the largest entry of I, K's Hessenberg column and its
+    SINGULAR times the largest entry of I, K's Hessenberg column and its
     subdiagonal.
     """
     w = k_times(b)  # the residual b - (I - K) b of the start x = b
@@ -61,7 +69,7 @@ def gmres(k_times, b, tol, max_dim):
             col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
         d = math.hypot(col[-1], norm)
         # a pivot at roundoff against the entries of I and K: I - K is singular
-        if not 1e-12 * scale < d < math.inf:
+        if not SINGULAR * scale < d < math.inf:
             raise NewtonDivergence("GMRES broke down: the Newton matrix is singular")
         cs, sn = col[-1] / d, -norm / d
         rotations.append((cs, sn))

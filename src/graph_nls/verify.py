@@ -110,8 +110,6 @@ _HORIZONS = {
 }
 # the suites that integrate nothing, each run whole as one task
 _WHOLE = ("wave_residual", "hodge", "gradients", "euler_identity")
-# the Trajectory lists that hold one entry per snapshot
-_SNAPSHOTS = ("times", "rhos", "Ss", "mass", "energy", "min_rho", "norm_resid")
 _GAUGE_SHIFT = 0.7
 
 
@@ -160,7 +158,7 @@ def _cut(name: str, traj, T: float):
     # a halving can move the snapshots off t = T
     if abs(traj.times[k - 1] - T) > 1e-9:
         return None, f"{name}: halvings {traj.halving_events} left no snapshot at t = {T:g}"
-    return replace(traj, **{f: getattr(traj, f)[:k] for f in _SNAPSHOTS}), None
+    return traj.head(k), None
 
 
 class BatteryRun:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from graph_nls import (
     StepLeftSimplex,
     SystemState,
     ZeroModulus,
+    build_path_lattice,
     build_torus,
     from_wave,
     graph_laplacian_wave,
@@ -20,6 +22,7 @@ from graph_nls import (
     rhs_jacobian,
     schrodinger_operator,
     simulate,
+    solve_ground_state,
     step,
     to_wave,
 )
@@ -203,6 +206,21 @@ def test_simulate_partial_on_failure():
     assert traj.error is not None
     assert traj.halvings == 5
     assert len(traj) >= 1  # initial snapshot retained
+
+
+def test_head_cuts_every_list_that_simulate_fills_per_snapshot():
+    # a list field with one entry per snapshot that head leaves whole fails here
+    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
+                    IntegratorConfig(dt=1e-3, T=5e-3, output_every=1))
+    assert len(traj) == 6
+    head = traj.head(2)
+    for f in dataclasses.fields(traj):
+        value, cut = getattr(traj, f.name), getattr(head, f.name)
+        if isinstance(value, list) and len(value) == len(traj):
+            assert len(cut) == 2 and all(a is b for a, b in zip(cut, value))
+        else:
+            assert cut is value
 
 
 def test_simulate_rk4_cross_check():
@@ -418,6 +436,34 @@ def test_newton_failure_halves_the_step(monkeypatch, fault):
     assert traj.halvings == 1
 
 
+def stiff_trap_release():
+    """The ground state of (x - 1)^2 / 2 on an 80-node path over [-5, 5], h = 1
+    and W = 0, released into x^2 / 2 at dt = 1e-2 up to T = 2.5: no error and
+    no halvings.  Its smallest density is ~1.7e-15, so the Fisher Hessian
+    (~1 / rho) makes dt/2 J and C = (I - dt/2 J)^-1 dt/2 J ~1e14 at t = 0."""
+    G = build_path_lattice(80, -5.0, 5.0)
+    x = G.coords[:, 0]
+    shifted = PotentialSpec(0.5 * (x - 1.0) ** 2, np.zeros(80), 1.0)
+    rho = solve_ground_state(G, shifted).rho_g
+    spec = PotentialSpec(0.5 * x**2, np.zeros(80), 1.0)
+    traj = simulate(G, spec, SystemState(rho, np.zeros(80)),
+                    IntegratorConfig(dt=1e-2, T=2.5, output_every=50))
+    assert traj.error is None and traj.halvings == 0
+    assert traj.times[-1] == pytest.approx(2.5)
+    return traj
+
+
+def test_stiff_trap_release_takes_no_halvings():
+    # an absolute bound on the entries of C once called this M singular at t = 0
+    traj = stiff_trap_release()
+    assert traj.krylov_matvecs == 0 and traj.factorizations >= 1
+
+
+def test_stiff_trap_release_takes_no_halvings_by_gmres(gmres_only):
+    traj = stiff_trap_release()
+    assert traj.krylov_matvecs > 0
+
+
 def test_extrapolated_start_takes_one_update_per_step():
     st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
     traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
@@ -467,7 +513,7 @@ def test_extrapolation_restarts_on_a_new_dt_or_state(monkeypatch):
     assert newton.extrapolated == 2
 
 
-@pytest.mark.parametrize("guess", ["negative", "nan"])
+@pytest.mark.parametrize("guess", ["negative", "infinite", "nan"])
 def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
     G, spec = two_node(), PotentialSpec.free(2, 1.0)
     st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
@@ -478,6 +524,8 @@ def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
         z = starts[-1].copy()
         if guess == "negative":
             z[0] = -0.1  # rejected before Newton starts
+        elif guess == "infinite":
+            z[0] = np.inf  # not interior either, so rejected as well
         else:
             z[2:] = np.nan  # Newton fails from it, and the step retries from Euler
         return z
@@ -485,7 +533,7 @@ def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
     monkeypatch.setattr(dynamics, "_extrapolate", bad)
     traj = simulate(G, spec, st, cfg)
     assert traj.error is None and traj.halvings == 0 and len(traj) == 21
-    assert traj.extrapolated_starts == (0 if guess == "negative" else 18)
+    assert traj.extrapolated_starts == (18 if guess == "nan" else 0)
     assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
     assert np.abs(np.asarray(traj.Ss) - np.asarray(ref.Ss)).max() <= 1e-11
 

@@ -21,7 +21,7 @@ from graph_nls import (
     save_graph_json,
     weighted_laplacian,
 )
-from graph_nls.graph import dense
+from graph_nls.graph import check_interior, dense, is_interior
 from conftest import two_node, random_connected_graph, random_interior
 
 
@@ -164,6 +164,18 @@ def test_divergence_and_inner_product_need_an_interior_density_on_the_graph(rho,
         divergence(G, rho, v)
     with pytest.raises(error):
         inner_product(G, rho, v, v)
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-301, 0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_is_interior_is_the_test_check_interior_applies(value):
+    rho = np.array([value, 0.5])
+    interior = value == 1e-300  # INTERIOR_FLOOR itself is interior
+    assert is_interior(rho) is interior
+    if interior:
+        assert np.array_equal(check_interior(rho), rho)
+    else:
+        with pytest.raises(NonInteriorDensity):
+            check_interior(rho)
 
 
 def test_inner_product_two_node():

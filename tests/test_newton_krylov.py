@@ -167,6 +167,25 @@ def test_singular_newton_matrix_halves_the_step(monkeypatch, n):
     assert traj.error is None and traj.halvings == 1
 
 
+def test_factored_newton_matrix_is_singular_relative_to_the_scale_of_k(monkeypatch):
+    # dt/2 J = K = [[0, a], [-b, 0]] on the density block: det(I - K) = 1 + ab
+    # = 1.01, so M is well posed, yet max|C| = b / 1.01 is far above 1e12; an
+    # absolute bound on C would call M singular
+    a, b, dt = 1e-16, 1e14, 1e-3
+    monkeypatch.setattr(dynamics, "_jacobian_entries",
+                        lambda *args: (np.array([0, 1]), np.array([1, 0]),
+                                       (2.0 / dt) * np.array([a, -b])))
+    newton = dynamics._NewtonMatrix()
+    newton.build(build_graph(2, [(0, 1, 1.0)]), PotentialSpec.free(2),
+                 SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1])), dt)
+    assert newton.builds == 1 and np.abs(newton._correction).max() > 1e13
+    K = np.zeros((4, 4))
+    K[0, 1], K[1, 0] = a, -b
+    F = np.random.default_rng(7).normal(0.0, 1.0, 4)
+    exact = np.linalg.solve(np.eye(4) - K, F)
+    assert np.abs(newton.solve(F) - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
 def test_singular_rebuild_of_a_guessed_start_keeps_the_factored_matrix(monkeypatch):
     # a guessed start whose rebuild at the same dt is singular fails, and the
     # retry from Euler goes on with the factored matrix the holder had

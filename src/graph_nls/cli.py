@@ -130,7 +130,8 @@ def _init_density(value) -> np.ndarray:
     """A start density: finite and in the simplex interior, as the solvers check it."""
     rho = floats(value)
     if not is_interior(rho):
-        raise ConfigError(f"every entry must be finite and at least {INTERIOR_FLOOR:g}")
+        raise ConfigError("the density is empty" if rho.size == 0 else
+                          f"every entry must be finite and at least {INTERIOR_FLOOR:g}")
     return rho
 
 

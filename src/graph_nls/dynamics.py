@@ -27,7 +27,9 @@ that ``graph.is_interior`` accepts, the one test of the simplex interior;
 a step that would leave it, or whose Newton matrix is singular, raises
 StepLeftSimplex or NewtonDivergence, on which ``simulate`` halves dt.
 ``simulate`` evaluates the integrand of ``Trajectory.norm_resid`` once per
-snapshot interval, over the states accepted in it, in one vectorized call.
+snapshot interval, over the states accepted in it, in one vectorized call,
+and the mass, minimum density and energy of the snapshots when the run
+ends, over stacks of snapshots.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ _PER_SNAPSHOT = {"snapshot": True}
 class Trajectory:
     """Snapshots plus per-snapshot diagnostics.
 
+    ``mass``, ``min_rho`` and ``energy`` are filled when the integration
+    ends, by one evaluation each over stacks of snapshots (as many as an
+    integrand batch holds): ``energy`` is ``energy.hamiltonian`` of the
+    stack, whose rows go through the operations of ``hamiltonian`` at each
+    snapshot alone.
     ``norm_resid`` is the residual of the phase-normalization identity:
     sum_j S_j rho_j minus its initial value minus the integral, by the
     trapezoid rule over the accepted steps, of 1/2 (grad S, grad S)_rho -
@@ -522,9 +529,6 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
         traj.times.append(st.t)
         traj.rhos.append(st.rho.copy())
         traj.Ss.append(st.S.copy())
-        traj.mass.append(float(st.rho.sum()))
-        traj.energy.append(hamiltonian(G, spec, st.rho, st.S))
-        traj.min_rho.append(float(st.rho.min()))
         traj.norm_resid.append(float(st.S @ st.rho - sp0 - acc))
 
     emit(state)
@@ -558,6 +562,13 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
             advance()
         if snapshot:
             emit(state)
+    # batch_cap snapshots at a time: stacked all at once, the snapshots and
+    # their edge arrays would take about ten times the memory of the trajectory
+    for k in range(0, len(traj), batch_cap):
+        rhos = np.array(traj.rhos[k:k + batch_cap])
+        traj.mass += rhos.sum(axis=1).tolist()
+        traj.min_rho += rhos.min(axis=1).tolist()
+        traj.energy += hamiltonian(G, spec, rhos, traj.Ss[k:k + batch_cap]).tolist()
     traj.newton_iterations = newton.iterations
     traj.krylov_matvecs = newton.matvecs
     traj.factorizations = newton.builds

@@ -2,12 +2,15 @@
 
 Fisher information, the linear and interaction potentials, the energy
 terms that every functional combines (the Hamiltonian H(rho, S), the
-ground energy and the action integrand), the normalization integrand over
-a stack of states, and the kinetic/potential/interaction split of the
-wave-form energy.  The closed-form gradient of the Fisher information is
-the hand-differentiated formula.  One builder, ``static_log_hessian_entries``, forms the Hessian of
-the static energy, as diag(rho) H diag(rho): a Laplacian over the edges
-plus W, with no 1/rho in it.  The Hessians in rho divide its entries by
+ground energy, the action integrand and the normalization integrand), and
+the kinetic/potential/interaction split of the wave-form energy.
+``energy_terms`` is the one evaluator of the four terms: it takes a state
+of shape (n,) or a stack of shape (B, n), and each row of a stack goes
+through the operations that the state alone does.  The closed-form
+gradient of the Fisher information is the hand-differentiated formula.
+One builder, ``static_log_hessian_entries``, forms the Hessian of the
+static energy, as diag(rho) H diag(rho): a Laplacian over the edges plus
+W, with no 1/rho in it.  The Hessians in rho divide its entries by
 rho_row rho_col.  The test suite cross-checks both against finite
 differences.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from .config import as_is, floats, number, read_kind, read_section
 from .errors import ConfigError, ZeroModulus
-from .graph import Graph, check_interior, edge_means, grad
+from .graph import Graph, check_interior, edge_means
 
 __all__ = [
     "PotentialSpec",
@@ -91,19 +94,51 @@ class PotentialSpec:
         return cls(np.zeros(n), np.full(n, float(alpha)), h)
 
 
-def _fisher_sum(G: Graph, rho, g) -> float:
-    """I(rho) from an interior rho and its edge means g."""
-    d = G.diff(np.log(rho))
-    return float((G.weights * d * d * g).sum())
+def _states(n: int, rho) -> np.ndarray:
+    """rho as a float state of shape (n,) or a stack of states of shape (B, n)."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim not in (1, 2) or rho.shape[-1] != n:
+        raise ConfigError(f"density has shape {rho.shape}, expected ({n},) or (B, {n})")
+    return rho
 
 
-def fisher_information(G: Graph, rho) -> float:
+def _number(x):
+    """A term of one state as a Python float; the terms of a stack stay (B,) arrays."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _dot(x, y):
+    """x . y over the last axis, as a matmul of (1, n) by (n, 1) blocks:
+    numpy takes one BLAS dot per block, so a row of a stack gets the value
+    of the state alone (bit for bit under numpy 2.4)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _edge_terms(G: Graph, rho, S=None):
+    """I(rho) and the kinetic term 1/2 (grad S, grad S)_rho, 0 without S,
+    over the last axis of an interior state or stack; the two edge sums
+    share the edge means g."""
+    # (..., 2, m): the values at ej and at el; take gathers along an axis
+    # several times faster than rho[..., ends] on a large graph
+    ends = G.ends[:2]
+    r, log_r = rho.take(ends, axis=-1), np.log(rho).take(ends, axis=-1)
+    g = 0.5 * (r[..., 0, :] + r[..., 1, :])
+    d = log_r[..., 0, :] - log_r[..., 1, :]
+    fisher = (G.weights * d * d * g).sum(axis=-1)
+    if S is None:
+        return fisher, np.zeros(fisher.shape)
+    s = np.asarray(S, dtype=float).take(ends, axis=-1)
+    v = G.sqrt_weights * (s[..., 0, :] - s[..., 1, :])
+    return fisher, 0.5 * (v * v * g).sum(axis=-1)
+
+
+def fisher_information(G: Graph, rho):
     """I(rho) = sum over edges of w (log rho_j - log rho_l)^2 g_jl.
 
-    Accepts any strictly positive vector; I is 1-homogeneous in rho.
+    Accepts any strictly positive vector, or a (B, n) stack of them (then
+    I of each row); I is 1-homogeneous in rho.
     """
-    rho = check_interior(rho, G.n)
-    return _fisher_sum(G, rho, edge_means(G, rho))
+    return _number(_edge_terms(G, check_interior(_states(G.n, rho)))[0])
 
 
 def fisher_gradient(G: Graph, rho) -> np.ndarray:
@@ -143,24 +178,21 @@ def fisher_hessian(G: Graph, rho) -> np.ndarray:
     return G.laplacian(_fisher_conductances(G, rho)) / np.outer(rho, rho)
 
 
-def potential_energy(spec: PotentialSpec, rho) -> float:
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (spec.n,):
-        raise ConfigError("density/potential shape mismatch")
-    return float(spec.V @ rho)
+def potential_energy(spec: PotentialSpec, rho):
+    """V . rho, of a state or of each row of a (B, n) stack."""
+    return _number(_dot(_states(spec.n, rho), spec.V))
 
 
 def interaction_times(spec: PotentialSpec, x) -> np.ndarray:
-    """W x, in O(n) for a diagonal W."""
+    """W x, in O(n) for a diagonal W; W x_b for each row x_b of a stack."""
     w = spec.interaction
-    return w * x if w.ndim == 1 else w @ x
+    return w * x if w.ndim == 1 else (w @ x[..., None])[..., 0]
 
 
-def interaction_energy(spec: PotentialSpec, rho) -> float:
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (spec.n,):
-        raise ConfigError("density/potential shape mismatch")
-    return 0.5 * float(rho @ interaction_times(spec, rho))
+def interaction_energy(spec: PotentialSpec, rho):
+    """1/2 rho . W rho, of a state or of each row of a (B, n) stack."""
+    rho = _states(spec.n, rho)
+    return _number(0.5 * _dot(rho, interaction_times(spec, rho)))
 
 
 def static_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
@@ -200,49 +232,35 @@ def static_hessian_entries(G: Graph, spec: PotentialSpec, rho):
 def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
     """The terms (kinetic, (h^2/8) I, V, W) of the energy at (rho, S).
 
-    The kinetic term is 1/2 (grad S, grad S)_rho; without a phase S it is
-    0.0 and is not evaluated.  The edge means of rho are formed once and
-    shared by the kinetic and Fisher terms.
+    rho is a state of shape (n,), whose terms are numbers, or a stack of
+    shape (B, n), whose terms are (B,) arrays; S, if given, has rho's
+    shape.  The kinetic term is 1/2 (grad S, grad S)_rho; without a phase S
+    it is 0 and is not evaluated.
     """
-    rho = check_interior(rho, G.n)
-    g = edge_means(G, rho)
-    kin = 0.0
-    if S is not None:
-        v = grad(G, S)
-        kin = 0.5 * float((v * v * g).sum())
-    return (
-        kin,
-        spec.h**2 / 8.0 * _fisher_sum(G, rho, g),
-        potential_energy(spec, rho),
-        interaction_energy(spec, rho),
-    )
+    rho = check_interior(_states(G.n, rho))
+    if S is not None and np.shape(S) != rho.shape:
+        raise ConfigError(f"phase has shape {np.shape(S)}, density {rho.shape}")
+    fisher, kin = _edge_terms(G, rho, S)
+    return (_number(kin), _number(spec.h**2 / 8.0 * fisher),
+            potential_energy(spec, rho), interaction_energy(spec, rho))
 
 
 def normalization_integrand(G: Graph, spec: PotentialSpec, rho, S) -> np.ndarray:
-    """kin - (h^2/8) I - V - 2 W at each row of the (B, n) stacks rho and S.
+    """kin - (h^2/8) I - V - 2 W of ``energy_terms`` at each row of the (B, n)
+    stacks rho and S.
 
     The integrand of the phase-normalization identity (see
-    ``dynamics.Trajectory.norm_resid``): the terms of ``energy_terms``
-    combined, for B states in one evaluation.
+    ``dynamics.Trajectory.norm_resid``).
     """
-    rho = check_interior(rho)
-    S = np.asarray(S, dtype=float)
-    if rho.ndim != 2 or rho.shape[1] != G.n or S.shape != rho.shape:
-        raise ConfigError(f"stacks of shapes {rho.shape} and {S.shape}, expected (B, {G.n}) each")
-    # (B, 2, m): the values at ej and at el; np.take gathers along an axis
-    # several times faster than rho[:, ends] on a large graph
-    r, s, log_r = (np.take(x, G.ends[:2], axis=1) for x in (rho, S, np.log(rho)))
-    d = log_r[:, 0] - log_r[:, 1]
-    dS = s[:, 0] - s[:, 1]
-    # with g = (rho_j + rho_l) / 2: 1/2 w dS^2 g - (h^2/8) w dlog^2 g per edge
-    edge = (r[:, 0] + r[:, 1]) * G.weights * (0.25 * dS * dS - spec.h**2 / 16.0 * d * d)
-    w = spec.interaction
-    w_rho = w * rho if w.ndim == 1 else rho @ w  # W is symmetric
-    return edge.sum(axis=1) - (rho * (spec.V + w_rho)).sum(axis=1)
+    if np.ndim(rho) != 2:
+        raise ConfigError(f"density has shape {np.shape(rho)}, expected a (B, {G.n}) stack")
+    kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
+    return kin - fisher - pot - 2.0 * inter
 
 
-def hamiltonian(G: Graph, spec: PotentialSpec, rho, S) -> float:
-    """Total energy H = kinetic + (h^2/8) I + V + W."""
+def hamiltonian(G: Graph, spec: PotentialSpec, rho, S):
+    """Total energy H = kinetic + (h^2/8) I + V + W, of a state or of each
+    row of a stack (see ``energy_terms``)."""
     return sum(energy_terms(G, spec, rho, S))
 
 

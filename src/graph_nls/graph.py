@@ -131,10 +131,10 @@ INTERIOR_FLOOR = 1e-300
 
 
 def is_interior(rho) -> bool:
-    """Whether every entry of the density array ``rho`` is finite and at least
+    """Whether the density array ``rho`` has entries, each finite and at least
     INTERIOR_FLOOR: the one test of the simplex interior."""
     # a NaN or -inf fails the first test, a +inf the second
-    return bool(rho.min() >= INTERIOR_FLOOR and rho.max() < np.inf)
+    return bool(rho.size and rho.min() >= INTERIOR_FLOOR and rho.max() < np.inf)
 
 
 def check_interior(rho, n=None) -> np.ndarray:
@@ -143,6 +143,8 @@ def check_interior(rho, n=None) -> np.ndarray:
     if n is not None and rho.shape != (n,):
         raise ConfigError(f"density has shape {rho.shape}, expected ({n},)")
     if not is_interior(rho):
+        if rho.size == 0:
+            raise NonInteriorDensity("density is empty")
         if not np.isfinite(rho).all():
             raise NonInteriorDensity("density has a non-finite entry")
         raise NonInteriorDensity(f"density entry {rho.min():.3g} is at the simplex boundary")

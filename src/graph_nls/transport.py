@@ -108,7 +108,7 @@ class PathSample:
             raise ConfigError("a path needs at least 2 samples")
         if np.any(np.diff(t) <= 0):
             raise ConfigError("path times must be strictly increasing")
-        if self.rhos.shape != (len(t), self.Ss.shape[1]) or self.Ss.shape[0] != len(t):
+        if self.rhos.ndim != 2 or self.Ss.shape != self.rhos.shape or len(self.rhos) != len(t):
             raise ConfigError("path arrays have inconsistent shapes")
 
 
@@ -118,9 +118,7 @@ def nelson_action(G: Graph, spec: PotentialSpec, path: PathSample) -> float:
     Integrand at each sample: kinetic term 1/2 (grad S, grad S)_rho minus
     the Fisher, linear and interaction potential energies.
     """
-    vals = np.empty(len(path.times))
-    for k, (rho, S) in enumerate(zip(path.rhos, path.Ss)):
-        kin, fisher, pot, inter = energy_terms(G, spec, rho, S)
-        vals[k] = kin - fisher - pot - inter
+    kin, fisher, pot, inter = energy_terms(G, spec, path.rhos, path.Ss)
+    vals = kin - fisher - pot - inter
     # written out: np.trapezoid needs numpy 2, np.trapz is deprecated there
     return float(np.sum(np.diff(path.times) * (vals[1:] + vals[:-1]) / 2.0))

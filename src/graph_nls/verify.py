@@ -279,9 +279,9 @@ def check_gauge(seed: int = 0, runs: BatteryRun | None = None) -> dict:
         if b.error is not None or b.times != a.times:
             why = b.error or f"halvings {a.halving_events} unshifted, {b.halving_events} shifted"
             return _report("gauge", np.inf, 1e-8, detail=f"{name}: {why}")
-        for i, t in enumerate(a.times):
-            worst = max(worst, np.abs(a.rhos[i] - b.rhos[i]).max())
-            worst = max(worst, np.abs(b.Ss[i] - (a.Ss[i] - _GAUGE_SHIFT * t)).max())
+        shift = _GAUGE_SHIFT * np.array(a.times)[:, None]
+        worst = max(worst, np.abs(np.array(a.rhos) - np.array(b.rhos)).max(),
+                    np.abs(np.array(b.Ss) - (np.array(a.Ss) - shift)).max())
     return _report("gauge", worst, 1e-8)
 
 
@@ -402,14 +402,12 @@ def check_boundary_repulsion(seed: int = 0, runs: BatteryRun | None = None) -> d
         return _report("boundary_repulsion", np.inf, 1e-10, detail=error)
     worst = -np.inf
     ok = True
-    for _, G, spec, state, traj in battery:
-        H0 = hamiltonian(G, spec, state.rho, state.S)
+    for _, G, spec, _, traj in battery:
         w_min = min_interaction_eigenvalue(spec.interaction)
-        budget = H0 - float(spec.V.min()) - min(0.0, 0.5 * w_min)
+        budget = traj.energy[0] - float(spec.V.min()) - min(0.0, 0.5 * w_min)
         ok = ok and min(traj.min_rho) > 0.0
-        for rho in traj.rhos:
-            excess = spec.h**2 / 8.0 * fisher_information(G, rho) - budget
-            worst = max(worst, excess)
+        excess = spec.h**2 / 8.0 * fisher_information(G, np.array(traj.rhos)) - budget
+        worst = max(worst, excess.max())
     return _report("boundary_repulsion", worst, 1e-10, passed=ok)
 
 

@@ -748,6 +748,20 @@ def test_simulate_initial_off_the_simplex_interior_is_a_config_error(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("simulate", simulate_config(initial={"rho": [], "S": []}), 'initial "rho"'),
+    ("ground-state", ground_state_config(init=[]), 'config "init"'),
+    ("stability", stability_config(rho_g=[]), 'config "rho_g"'),
+], ids=["simulate", "ground-state", "stability"])
+def test_an_empty_density_is_one_config_error_line(tmp_path, capsys, command, config, key):
+    # numpy's "zero-size array to reduction operation minimum" used to be the message
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", config)
+    assert run([command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: the density is empty\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_linalg_error_exits_as_solver_failure(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

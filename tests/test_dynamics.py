@@ -378,6 +378,36 @@ def test_halving_events_record_time_and_new_dt(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("system", ["two_point", "dense_W"])
+@pytest.mark.parametrize("failing", [(), range(30, 36)], ids=["whole", "cut_short"])
+def test_snapshot_diagnostics_are_those_of_each_snapshot(monkeypatch, rng, system, failing, cap):
+    # simulate fills mass, min_rho and energy when the run ends, over stacks
+    # of snapshots (of at most ``cap`` when it is set); six failures in a row
+    # exhaust the halvings and cut the run
+    if system == "two_point":
+        G, spec = two_node(), PotentialSpec.free(2, 1.0)
+        state = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    else:
+        G = random_connected_graph(rng)
+        spec = random_spec(rng, G.n)
+        state = SystemState(random_interior(rng, G.n, low=0.5), rng.normal(0.0, 0.3, G.n))
+    assert spec.interaction.ndim == (1 if system == "two_point" else 2)
+    if cap is not None:
+        monkeypatch.setattr(dynamics, "_BATCH_FLOATS", cap * 2 * G.n)
+    fail_steps(monkeypatch, failing)
+    traj = simulate(G, spec, state, IntegratorConfig(dt=1e-3, T=0.1, output_every=10))
+    assert (traj.error is None) == (not failing)
+    assert len(traj) == (4 if failing else 11)
+    for k, (rho, S) in enumerate(zip(traj.rhos, traj.Ss)):
+        H = hamiltonian(G, spec, rho, S)
+        assert isinstance(traj.energy[k], float)
+        assert abs(traj.energy[k] - H) <= 1e-15 * abs(H)
+        assert traj.mass[k] == rho.sum() and traj.min_rho[k] == rho.min()
+    for name in ("mass", "min_rho", "energy"):
+        assert len(getattr(traj, name)) == len(traj)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
 @pytest.mark.parametrize("T, failing", [(0.0505, ()), (0.05, (20,))])
 def test_norm_resid_does_not_depend_on_where_integrand_batches_end(monkeypatch, rng, T, failing,
                                                                    cap):

@@ -368,3 +368,54 @@ def test_normalization_integrand_checks_its_stacks():
         normalization_integrand(G, spec, rho, S[:, :1])
     with pytest.raises(NonInteriorDensity):
         normalization_integrand(G, spec, np.array([[0.5, 0.5], [1.0, 1e-301]]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("W", ["diagonal", "dense"])
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_terms_of_a_stack_are_the_terms_of_its_rows(rng, W, rows, with_phase):
+    for _ in range(10):
+        G = random_connected_graph(rng)
+        n = G.n
+        A = rng.normal(0.0, 0.5, (n, n))
+        interaction = rng.uniform(-1.0, 1.0, n) if W == "diagonal" else A + A.T
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), interaction, float(rng.uniform(0.3, 1.5)))
+        rho = np.array([random_interior(rng, n) for _ in range(rows)])
+        S = rng.normal(0.0, 1.0, (rows, n)) if with_phase else None
+        stacked = energy_terms(G, spec, rho, S)
+        fisher = fisher_information(G, rho)
+        pot, inter = potential_energy(spec, rho), interaction_energy(spec, rho)
+        for term in (*stacked, fisher, pot, inter):
+            assert isinstance(term, np.ndarray) and term.shape == (rows,)
+        for b in range(rows):
+            terms = energy_terms(G, spec, rho[b], None if S is None else S[b])
+            scale = sum(map(abs, terms)) + abs(fisher_information(G, rho[b]))
+            assert all(isinstance(term, float) for term in terms)
+            for stack_term, term in zip(stacked, terms):
+                assert abs(stack_term[b] - term) <= 1e-14 * scale
+            assert abs(fisher[b] - fisher_information(G, rho[b])) <= 1e-14 * scale
+            assert abs(pot[b] - potential_energy(spec, rho[b])) <= 1e-14 * scale
+            assert abs(inter[b] - interaction_energy(spec, rho[b])) <= 1e-14 * scale
+        if S is None:
+            assert np.array_equal(stacked[0], np.zeros(rows))
+
+
+def test_energy_terms_check_the_shapes_of_a_stack():
+    G, spec = two_node(), PotentialSpec.gpe(2, 1.0)
+    rho, S = np.full((3, 2), 0.5), np.zeros((3, 2))
+    assert all(term.shape == (3,) for term in energy_terms(G, spec, rho, S))
+    bad = [
+        (rho[None], S[None]),  # 3-D
+        (np.full((3, 3), 1.0 / 3.0), np.zeros((3, 3))),  # n = 3 on a 2-node graph
+        (rho, S[:2]),  # S of another shape than rho
+        (rho, S[0]),
+        (rho[0], S),
+    ]
+    for r, s in bad:
+        with pytest.raises(ConfigError):
+            energy_terms(G, spec, r, s)
+    for f in (lambda r: fisher_information(G, r), lambda r: potential_energy(spec, r),
+              lambda r: interaction_energy(spec, r)):
+        for r in (rho[None], np.full((3, 3), 1.0 / 3.0)):
+            with pytest.raises(ConfigError):
+                f(r)

@@ -178,6 +178,15 @@ def test_is_interior_is_the_test_check_interior_applies(value):
             check_interior(rho)
 
 
+def test_an_empty_density_is_not_interior():
+    # numpy's min of a zero-size array raises ValueError: an empty density
+    # is answered by the interior test and rejected with the typed error
+    rho = np.array([])
+    assert is_interior(rho) is False
+    with pytest.raises(NonInteriorDensity, match="empty"):
+        check_interior(rho)
+
+
 def test_inner_product_two_node():
     G = two_node()
     rho = np.array([0.5, 0.5])

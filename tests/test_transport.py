@@ -189,6 +189,17 @@ def test_path_sample_validation():
         PathSample(np.array([0.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("rhos, Ss", [
+    ([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0]),  # one phase per time, not per node
+    ([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[[0.5, 0.5]], [[0.5, 0.5]]], [[[0.0, 0.0]], [[0.0, 0.0]]]),
+])
+def test_path_sample_rejects_arrays_of_the_wrong_rank(rhos, Ss):
+    # a 1-D phase array raised IndexError from its missing second axis
+    with pytest.raises(ConfigError):
+        PathSample([0.0, 1.0], rhos, Ss)
+
+
 def test_nelson_action_constant_path():
     G = two_node()
     spec = PotentialSpec.free(2, 1.0)

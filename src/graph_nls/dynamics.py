@@ -9,27 +9,24 @@ which is the sign combination under which the energy is an exact
 invariant and the wave function Psi = sqrt(rho) exp(i S / h) satisfies
 the Schrodinger-type equation with the nonlinear graph Laplacian.
 Default integrator is the implicit midpoint rule (symplectic; simplified
-Newton iteration started from a quadratic extrapolation of the last three
-steps, stopped on the true residual or, after a first update, on a
-contraction estimate that a true residual refreshes at least every ninth
-step), with classical RK4 available for cross-checks.  The Newton matrix
+Newton iteration started from the cubic extrapolation of the last four
+midpoint slopes, stopped on the true residual), with classical RK4
+available for cross-checks.  At small dt that start already meets the
+Newton tolerance, so a step costs one rhs and no update.  The Newton matrix
 I - dt/2 J is chosen by size alone: at 2n <= _DIRECT_SIZE (256) it is
 factored once per build and each update is one dense product, so
 ``krylov_matvecs`` reads 0 and ``factorizations`` counts real
 factorizations; above it each update is a GMRES solve with the analytic
-Jacobian applied matrix-free in O(n + m).  On both paths the contraction
-a step measures is floored at the error a GMRES update is allowed: an
-update right after a build contracts only by its quadratic term, which
-would make the estimate optimistic for the steps after it.  Both paths
-call the Newton matrix singular by one rule, ``krylov.SINGULAR`` relative
-to the scale of I and dt/2 J.  Every state a step returns has a density
-that ``graph.is_interior`` accepts, the one test of the simplex interior;
-a step that would leave it, or whose Newton matrix is singular, raises
-StepLeftSimplex or NewtonDivergence, on which ``simulate`` halves dt.
-``simulate`` evaluates the integrand of ``Trajectory.norm_resid`` once per
-snapshot interval, over the states accepted in it, in one vectorized call,
-and the mass, minimum density and energy of the snapshots when the run
-ends, over stacks of snapshots.
+Jacobian applied matrix-free in O(n + m).  Both paths call the Newton
+matrix singular by one rule, ``krylov.SINGULAR`` relative to the scale of
+I and dt/2 J.  Every state a step returns has a residual within the Newton
+tolerance and a density that ``graph.is_interior`` accepts, the one test
+of the simplex interior; a step that would leave it, or whose Newton
+matrix is singular, raises StepLeftSimplex or NewtonDivergence, on which
+``simulate`` halves dt.  ``simulate`` evaluates the integrand of
+``Trajectory.norm_resid`` in batches of accepted states, each in one
+vectorized call, and the mass, minimum density and energy of the snapshots
+when the run ends, over stacks of snapshots.
 """
 
 from __future__ import annotations
@@ -133,11 +130,12 @@ class Trajectory:
     ``norm_resid`` is the residual of the phase-normalization identity:
     sum_j S_j rho_j minus its initial value minus the integral, by the
     trapezoid rule over the accepted steps, of 1/2 (grad S, grad S)_rho -
-    (h^2/8) I - V - 2 W.  The integrand is evaluated once per snapshot
-    interval, over the states accepted in it, by one call of
-    ``energy.normalization_integrand`` (sooner when they hold
-    _BATCH_FLOATS floats); the trapezoid then adds the steps in order, so
-    where a batch ends changes it by roundoff at most.
+    (h^2/8) I - V - 2 W.  The integrand is evaluated over batches of
+    accepted states, by one call of ``energy.normalization_integrand`` each
+    (a batch holds _BATCH_FLOATS floats, the last one what is left when the
+    run ends), and a snapshot's residual when its batch is; the trapezoid
+    then adds the steps in order, so where a batch ends changes it by
+    roundoff at most.
     ``halving_events`` lists each step-size halving as (t, new dt), t
     being the time of the step that failed.
     ``newton_iterations``, ``krylov_matvecs``, ``factorizations`` and
@@ -145,11 +143,9 @@ class Trajectory:
     the products with the Jacobian that their GMRES solves made (0 when
     the Newton matrix is factored, at 2n <= _DIRECT_SIZE), the builds of
     the Newton operator (each a factorization there) and the Newton solves
-    started from the extrapolated predictor, over every step tried, failed
-    ones included.
-    ``estimated_stops`` counts the steps that stopped after their first
-    update on the contraction estimate, without evaluating the residual
-    there; every other step stopped on a residual within ``newton_tol``.
+    started from the slope extrapolation, over every step tried, failed
+    ones included.  Every step returned stopped on a residual within
+    ``newton_tol``.
     The lists of one entry per snapshot are declared with _PER_SNAPSHOT,
     which ``head`` reads.
     """
@@ -167,7 +163,6 @@ class Trajectory:
     krylov_matvecs: int = 0
     factorizations: int = 0
     extrapolated_starts: int = 0
-    estimated_stops: int = 0
 
     @property
     def halvings(self) -> int:
@@ -229,16 +224,9 @@ def rhs_jacobian(G: Graph, spec: PotentialSpec, state: SystemState) -> np.ndarra
     return dense(*_jacobian_entries(G, spec, state), 2 * G.n)
 
 
-def _extrapolate(starts):
-    """Quadratic extrapolation 3 z_k - 3 z_{k-1} + z_{k-2} of the next start."""
-    z2, z1, z0 = starts
-    return 3.0 * (z0 - z1) + z2
-
-
 # GMRES stops once |F - M x| <= max(_GMRES_TOL * newton_tol, min(_FORCING, |F|) |F|)
 # in the 2-norm, and after at most _KRYLOV_DIM matrix-vector products past
-# the first.  ``_newton_solve`` floors the contraction r1/r0 of a step's
-# first update at the same min(_FORCING, r0), r0 = max|F|, on both paths
+# the first
 _FORCING = 0.1
 _GMRES_TOL = 1e-3
 _KRYLOV_DIM = 30
@@ -255,13 +243,10 @@ _KRYLOV_DIM = 30
 # at 512.
 _DIRECT_SIZE = 256
 
-# at most this many steps in a row stop on the contraction estimate; the
-# next one evaluates its residual, which measures the contraction afresh
-_ESTIMATED_RUN = 8
-
 
 class _NewtonMatrix:
-    """The simplified-Newton matrix M = I - dt/2 J, factored or matrix-free.
+    """The simplified-Newton matrix M = I - dt/2 J, factored or matrix-free,
+    and the slope history that starts each step.
 
     ``build`` freezes J at one midpoint as the (rows, cols, values) entries
     of K = dt/2 J: O(n + m) numbers plus the nonzeros of a dense W.  When
@@ -276,10 +261,9 @@ class _NewtonMatrix:
     correction x - F lies in range(J), whose density half sums to zero:
     each update keeps the mass to the roundoff of the correction, not of x.
     ``simulate`` reuses one holder across the Newton iterations and the
-    steps of a run.  The holder also keeps the starts of the last steps of
-    one unbroken run at one dt, from which ``predict`` extrapolates the
-    next step's Newton start, and the contraction model of ``calibrate``
-    and ``stops_on_estimate``.
+    steps of a run.  The holder also keeps the midpoint slopes f(z_m) of
+    the last four steps of one unbroken run at one dt, recorded by
+    ``accept``, from which ``predict`` extrapolates the next step's start.
     """
 
     def __init__(self):
@@ -289,11 +273,9 @@ class _NewtonMatrix:
         self.iterations = 0
         self.matvecs = 0
         self.extrapolated = 0
-        self.estimated = 0
-        self.rate = None  # contraction per unit distance from the frozen midpoint
-        self._run = 0  # estimated stops since the last calibration
         self._last = None  # (state returned by the last step, its dt)
-        self._starts = []  # starts of the steps since the last reset, at most 3
+        # midpoint slopes of the steps since the last reset, oldest first, at most 4
+        self._slopes = []
 
     def build(self, G, spec, mid, dt):
         """Freeze J at ``mid`` for ``dt``; a singular M raises NewtonDivergence
@@ -315,8 +297,6 @@ class _NewtonMatrix:
         else:
             k_times = entries_times(rows, cols, k_vals, size)  # K x = dt/2 J x
         self._k_times, self._correction = k_times, correction
-        self._frozen = np.concatenate([mid.rho, mid.S])  # the midpoint J is frozen at
-        self.rate = None
         self.dt = dt
         self.builds += 1
 
@@ -336,58 +316,28 @@ class _NewtonMatrix:
         self.matvecs += products
         return x
 
-    def calibrate(self, ratio, zm):
-        """Record the contraction r1/r0 of a step's first update, ending at midpoint zm.
-
-        The contraction of simplified Newton grows with the distance of the
-        midpoint from the one J is frozen at, so the rate is kept per unit
-        of that distance.  The caller floors the ratio (see _FORCING).
-        """
-        distance = float(np.abs(zm - self._frozen).max())
-        self.rate = float(ratio) / distance if distance > 0 else None
-        self._run = 0
-
-    def stops_on_estimate(self, zm, dz):
-        """Whether a step may stop after its first update dz, which ended at midpoint zm.
-
-        theta = rate * max|zm - zb| estimates the contraction at zm (zb the
-        frozen midpoint), and theta / (1 - theta) max|dz| the error left.
-        Yes when theta < 1 and that error is within the Newton tolerance,
-        unless the rate is unknown or _ESTIMATED_RUN steps in a row have
-        already stopped on it.  A NaN fails every comparison.
-        """
-        if self.rate is None or self._run >= _ESTIMATED_RUN:
-            return False
-        theta = self.rate * float(np.abs(zm - self._frozen).max())
-        if not (theta < 1.0 and theta / (1.0 - theta) * float(np.abs(dz).max()) <= self.tol):
-            return False
-        self._run += 1
-        self.estimated += 1
-        return True
-
     def predict(self, state, z0, dt):
-        """The extrapolated start of the step from ``state``, or None.
+        """The start z0 + dt (4 f1 - 6 f2 + 4 f3 - f4) of the step from ``state``, or None.
 
-        The history continues only when ``state`` is the object the last
-        step returned and ``dt`` is that step's dt; otherwise it restarts
-        at ``z0``, and the contraction rate is forgotten.  None until three
-        starts are known, and None when the extrapolated density is not
-        ``is_interior``.
+        f1 .. f4 are the midpoint slopes of the last four steps, newest
+        first: the cubic through them, taken one step on, is the slope of
+        this step's midpoint to O(dt^4), so the start is O(dt^5) from the
+        solution.  The history continues only when ``state`` is the object
+        the last step returned and ``dt`` is that step's dt; otherwise it
+        restarts.  None until four slopes are known.
         """
         if self._last is None or self._last[0] is not state or self._last[1] != dt:
-            self._starts = []
-            self.rate = None
+            self._slopes = []
         self._last = None  # set again only when this step succeeds
-        self._starts = self._starts[-2:] + [z0]
-        if len(self._starts) < 3:
-            return None
-        z1 = _extrapolate(self._starts)
-        if not is_interior(z1[: len(z0) // 2]):
+        if len(self._slopes) < 4:
             return None
         self.extrapolated += 1
-        return z1
+        f4, f3, f2, f1 = self._slopes
+        return z0 + dt * (4.0 * (f1 + f3) - 6.0 * f2 - f4)
 
-    def accept(self, new, dt):
+    def accept(self, new, slope, dt):
+        """Record the step of size ``dt`` to ``new`` and its midpoint slope; returns ``new``."""
+        self._slopes = self._slopes[-3:] + [slope]
         self._last = (new, dt)
         return new
 
@@ -395,33 +345,27 @@ class _NewtonMatrix:
 def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1.
 
-    Stops when the residual F has max|F| <= newton_tol, or right after the
-    first update when ``newton.stops_on_estimate`` bounds the error left by
-    newton_tol; the residual is then not evaluated.  Every step that
-    evaluates the residual after its first update recalibrates that
-    estimate; a rebuild of the operator forgets it.  Every iterate it
+    Stops when the residual F has max|F| <= newton_tol, and records the
+    step in ``newton`` with the slope f of that residual.  Every iterate it
     returns is finite with an ``is_interior`` density.
     """
     n = G.n
     dt = cfg.dt
     newton.tol = cfg.newton_tol
     prev = math.inf
-    for it in range(cfg.newton_max_iter):
+    for _ in range(cfg.newton_max_iter):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
         # z0 is interior, so the midpoint density is interior when z1's is
         if not is_interior(z1[:n]):
             raise StepLeftSimplex("Newton iterate density left the simplex interior")
         zm = 0.5 * (z0 + z1)
-        if it == 1 and newton.stops_on_estimate(zm, dz):
-            return SystemState(z1[:n], z1[n:], state.t + dt)
         mid = _Point(zm[:n], zm[n:])
-        F = z1 - z0 - dt * np.concatenate(rhs(G, spec, mid))
+        slope = np.concatenate(rhs(G, spec, mid))
+        F = z1 - z0 - dt * slope
         res = float(np.abs(F).max())
-        if it == 1:
-            newton.calibrate(max(res / prev, min(_FORCING, prev)), zm)
         if res <= cfg.newton_tol:
-            return SystemState(z1[:n], z1[n:], state.t + dt)
+            return newton.accept(SystemState(z1[:n], z1[n:], state.t + dt), slope, dt)
         if not res < math.inf:  # a NaN fails the test too
             raise NewtonDivergence(f"Newton residual is {res}")
         # rebuild at this midpoint when the operator is for another dt, or
@@ -429,8 +373,7 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
         if newton.dt != dt or res > 0.1 * prev:
             newton.build(G, spec, mid, dt)
         prev = res
-        dz = newton.solve(F)
-        z1 = z1 - dz
+        z1 = z1 - newton.solve(F)
     raise NewtonDivergence(
         f"residual {res:.3g} > {cfg.newton_tol:.3g} after {cfg.newton_max_iter} iterations"
     )
@@ -441,13 +384,11 @@ def _midpoint_step(G, spec, state, cfg, newton):
     guess = newton.predict(state, z0, cfg.dt)
     if guess is not None:
         try:
-            return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, guess), cfg.dt)
+            return _newton_solve(G, spec, state, cfg, newton, z0, guess)
         except (StepLeftSimplex, NewtonDivergence):
-            # a bad guess must not halve dt: forget the rate its solve may
-            # have measured and start again from Euler
-            newton.rate = None
+            pass  # a bad start must not halve dt: start again from Euler
     euler = z0 + cfg.dt * np.concatenate(rhs(G, spec, state))
-    return newton.accept(_newton_solve(G, spec, state, cfg, newton, z0, euler), cfg.dt)
+    return _newton_solve(G, spec, state, cfg, newton, z0, euler)
 
 
 def _rk4_step(G, spec, state, cfg):
@@ -479,7 +420,7 @@ def step(
     """Advance one time step with the configured method.
 
     ``newton`` carries the implicit midpoint's Newton operator and its
-    history of step starts from one step to the next (``simulate`` passes
+    history of midpoint slopes from one step to the next (``simulate`` passes
     one); without it the step builds its own and starts Newton from the
     explicit Euler predictor.
     """
@@ -488,9 +429,8 @@ def step(
     return _rk4_step(G, spec, state, cfg)
 
 
-# simulate evaluates the normalization integrand of the steps accepted since
-# the last snapshot in one batch, at the snapshot or once they hold this many
-# floats, whichever comes first
+# simulate evaluates the normalization integrand of the accepted steps in
+# batches of this many floats, and the last batch when the run ends
 _BATCH_FLOATS = 8192
 
 
@@ -511,27 +451,32 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     sp0 = float(state.S @ state.rho)
     acc = 0.0  # running trapezoid of the normalization integrand
     prev_integrand = normalization_integrand(G, spec, state.rho[None], state.S[None]).item()
-    batch = []  # (state, dt) of each step accepted since acc was last advanced
+    # (state, dt, whether it is a snapshot) of each step accepted since acc
+    # was last advanced
+    batch = []
     batch_cap = max(1, _BATCH_FLOATS // (2 * G.n))
 
     def advance():
-        """Add the batch's steps to the trapezoid acc, in step order."""
+        """Add the batch's steps to the trapezoid acc, in step order, and
+        record the norm_resid of each snapshot among them."""
         nonlocal acc, prev_integrand
-        rhos = np.array([st.rho for st, _ in batch])
-        Ss = np.array([st.S for st, _ in batch])
+        rhos = np.array([st.rho for st, _, _ in batch])
+        Ss = np.array([st.S for st, _, _ in batch])
         integrands = normalization_integrand(G, spec, rhos, Ss).tolist()
-        for (_, dt_k), integrand in zip(batch, integrands):
+        for (st, dt_k, snapshot), integrand in zip(batch, integrands):
             acc += 0.5 * dt_k * (prev_integrand + integrand)
             prev_integrand = integrand
+            if snapshot:
+                traj.norm_resid.append(float(st.S @ st.rho - sp0 - acc))
         batch.clear()
 
     def emit(st):
         traj.times.append(st.t)
         traj.rhos.append(st.rho.copy())
         traj.Ss.append(st.S.copy())
-        traj.norm_resid.append(float(st.S @ st.rho - sp0 - acc))
 
     emit(state)
+    traj.norm_resid.append(0.0)  # sum_j S_j rho_j less itself, with nothing integrated
     t_end = state.t + cfg.T
     slack = 1e-12 * cfg.T
     dt = cfg.dt
@@ -554,14 +499,16 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
             dt *= 0.5
             traj.halving_events.append((state.t, dt))
             continue
-        batch.append((new, dt_k))
         state = new
         k += 1
         snapshot = k % cfg.output_every == 0 or state.t >= t_end - slack
-        if snapshot or len(batch) == batch_cap:
+        batch.append((new, dt_k, snapshot))
+        if len(batch) == batch_cap:
             advance()
         if snapshot:
             emit(state)
+    if batch:
+        advance()
     # batch_cap snapshots at a time: stacked all at once, the snapshots and
     # their edge arrays would take about ten times the memory of the trajectory
     for k in range(0, len(traj), batch_cap):
@@ -573,7 +520,6 @@ def simulate(G: Graph, spec: PotentialSpec, initial, cfg: IntegratorConfig) -> T
     traj.krylov_matvecs = newton.matvecs
     traj.factorizations = newton.builds
     traj.extrapolated_starts = newton.extrapolated
-    traj.estimated_stops = newton.estimated
     return traj
 
 

@@ -103,7 +103,6 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "krylov_matvecs": traj.krylov_matvecs,
         "factorizations": traj.factorizations,
         "extrapolated_starts": traj.extrapolated_starts,
-        "estimated_stops": traj.estimated_stops,
         "error": traj.error,
     }
     return summary

@@ -330,13 +330,15 @@ def check_hodge(seed: int = 0, cases: int = 200) -> dict:
 
 
 def _fd_gradient(f, x, step=1e-5):
-    """Central differences of f at x; entry (or row) j is df/dx_j."""
-    g = []
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = step
-        g.append((f(x + e) - f(x - e)) / (2.0 * step))
-    return np.array(g)
+    """Central differences of f at x; entry (or row) j is df/dx_j.
+
+    f takes the (2n, n) stack of the states x + step e_j, then x - step e_j,
+    and returns the value (or row) of each.
+    """
+    n = len(x)
+    shifts = step * np.eye(n)
+    values = f(np.concatenate([x + shifts, x - shifts]))
+    return (values[:n] - values[n:]) / (2.0 * step)
 
 
 def check_gradients(seed: int = 0, cases: int = 20) -> dict:
@@ -354,20 +356,22 @@ def check_gradients(seed: int = 0, cases: int = 20) -> dict:
         )
         scale = max(1.0, np.abs(fisher_gradient(G, rho)).max())
         gerr = np.abs(
-            fisher_gradient(G, rho) - _fd_gradient(lambda r: fisher_information(G, r), rho)
+            fisher_gradient(G, rho) - _fd_gradient(lambda rs: fisher_information(G, rs), rho)
         ).max() / scale
         hess = fisher_hessian(G, rho)
-        fd_hess = _fd_gradient(lambda r: fisher_gradient(G, r), rho).T
+        fd_hess = _fd_gradient(lambda rs: np.array([fisher_gradient(G, r) for r in rs]), rho).T
         herr = np.abs(hess - fd_hess).max() / max(1.0, np.abs(hess).max())
         # flow field against J applied to a finite-difference energy gradient
         drho, dS = rhs(G, spec, SystemState(rho, S))
-        gH_S = _fd_gradient(lambda s: hamiltonian(G, spec, rho, s), S)
-        gH_rho = _fd_gradient(lambda r: hamiltonian(G, spec, r, S), rho)
+        # the other half of each perturbed state, one row per state
+        rhos, Ss = np.tile(rho, (2 * G.n, 1)), np.tile(S, (2 * G.n, 1))
+        gH_S = _fd_gradient(lambda ss: hamiltonian(G, spec, rhos, ss), S)
+        gH_rho = _fd_gradient(lambda rs: hamiltonian(G, spec, rs, Ss), rho)
         ferr = max(np.abs(drho - gH_S).max(), np.abs(dS + gH_rho).max())
         ferr /= max(1.0, np.abs(gH_rho).max())
         gse = np.abs(
             ground_gradient(G, spec, rho)
-            - _fd_gradient(lambda r: hamiltonian(G, spec, r, np.zeros(G.n)), rho)
+            - _fd_gradient(lambda rs: hamiltonian(G, spec, rs, np.zeros_like(rs)), rho)
         ).max() / scale
         # Hessian tolerance is 1e-5; the others 1e-6, so scale into one number
         worst = max(worst, gerr, ferr, gse, herr / 10.0)

@@ -128,8 +128,9 @@ def test_simulate_summary_reports_newton_work(tmp_path):
     path = write_config(tmp_path, "c.json", simulate_config())
     assert run(["simulate", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # 500 steps of at least one Newton update each, on one reused matrix
-    assert summary["newton_iterations"] >= 500
+    # 500 steps on one reused matrix; only the four steps that start from
+    # Euler take Newton updates, one each
+    assert 1 <= summary["newton_iterations"] <= 4
     assert 1 <= summary["factorizations"] <= 2
 
 
@@ -159,21 +160,22 @@ def test_simulate_summary_reports_extrapolated_starts(tmp_path):
     path = write_config(tmp_path, "c.json", simulate_config())
     assert run(["simulate", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # every step after the first two starts from the extrapolation
-    assert summary["extrapolated_starts"] == 498
-    assert summary["newton_iterations"] <= 504
+    # every step after the first four starts from the extrapolated slopes
+    assert summary["extrapolated_starts"] == 496
 
 
-def test_simulate_two_point_reports_estimated_stops(tmp_path):
+def test_simulate_two_point_starts_from_the_slopes_with_no_newton_update(tmp_path):
     out = tmp_path / "out"
     path = os.path.join(REPO, "configs", "two_point.json")
     assert run(["simulate", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     keys = list(summary)
-    assert keys.index("estimated_stops") == keys.index("extrapolated_starts") + 1
-    # of 10,000 steps, eight in every nine stop on the contraction estimate
-    assert 8800 <= summary["estimated_stops"] <= 10_000 * 8 / 9
-    assert summary["newton_iterations"] == 10_000
+    assert keys.index("error") == keys.index("extrapolated_starts") + 1
+    # of 10,000 steps, all but the four Euler starts start from the slopes
+    # and stop on their first residual
+    assert summary["extrapolated_starts"] == 10_000 - 4
+    assert summary["newton_iterations"] <= 4
+    assert summary["halvings"] == 0 and summary["krylov_matvecs"] == 0
 
 
 def test_simulate_non_numeric_integrator_value(tmp_path, capsys):

@@ -437,6 +437,34 @@ def test_norm_resid_does_not_depend_on_where_integrand_batches_end(monkeypatch, 
         assert all(abs(resid - each_step[t]) <= 1e-15 for t, resid in run.items())
 
 
+@pytest.mark.parametrize("cap, failing", [(None, ()), (3, ()), (None, range(60, 66))])
+def test_snapshots_at_every_step_wait_for_their_integrand_batch(monkeypatch, cap, failing):
+    # at output_every = 1 each snapshot's norm_resid is recorded when its
+    # batch is evaluated, at ``cap`` states or when the run ends, also on
+    # spent halvings: 200 steps on the battery's 20-node path take one
+    # batch, after the one call at the initial state
+    _, G, spec, state = next(case for case in verify._battery(0) if case[0] == "path_20")
+    if cap is not None:
+        monkeypatch.setattr(dynamics, "_BATCH_FLOATS", cap * 2 * G.n)
+    fail_steps(monkeypatch, failing)
+    batches = []
+    real = dynamics.normalization_integrand
+
+    def spy(G, spec, rho, S):
+        batches.append(len(rho))
+        return real(G, spec, rho, S)
+
+    monkeypatch.setattr(dynamics, "normalization_integrand", spy)
+    traj = simulate(G, spec, state, IntegratorConfig(dt=1e-3, T=0.2, output_every=1))
+    steps = 60 if failing else 200
+    assert (traj.error is None) == (not failing) and len(traj) == steps + 1
+    assert len(traj.norm_resid) == len(traj) and traj.norm_resid[0] == 0.0
+    if cap is None:
+        assert batches == [1, steps]
+    else:
+        assert batches == [1] + [3] * 66 + [2]
+
+
 @pytest.mark.parametrize("fault", ["singular", "nan"])
 def test_newton_failure_halves_the_step(monkeypatch, fault):
     faults = itertools.count()
@@ -494,14 +522,56 @@ def test_stiff_trap_release_takes_no_halvings_by_gmres(gmres_only):
     assert traj.krylov_matvecs > 0
 
 
-def test_extrapolated_start_takes_one_update_per_step():
-    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
-    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
-                    IntegratorConfig(dt=1e-3, T=1.0, output_every=100))
+def test_small_steps_take_no_newton_update_after_the_euler_starts(monkeypatch):
+    # at dt = 1e-3 the start from the last four midpoint slopes already meets
+    # newton_tol: after the four Euler starts a step costs one rhs call, the
+    # one that measures its residual, and no Newton update
+    rhs_calls = itertools.count()
+    real_rhs = dynamics.rhs
+
+    def counted_rhs(*args):
+        next(rhs_calls)
+        return real_rhs(*args)
+
+    monkeypatch.setattr(dynamics, "rhs", counted_rhs)
+    # configs/two_point.json, run up to T = 1
+    two_point = ("two_point", two_node(), PotentialSpec.free(2, 1.0),
+                 SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1])))
+    cfg = IntegratorConfig(dt=1e-3, T=1.0, newton_tol=1e-13, output_every=100)
     steps = 1000
-    assert traj.error is None and traj.halvings == 0 and len(traj) == 11
-    assert traj.extrapolated_starts == steps - 2  # the first two start from Euler
-    assert traj.newton_iterations <= steps + 4
+    for name, G, spec, state in [*verify._battery(0), two_point]:
+        rhs_calls = itertools.count()
+        traj = simulate(G, spec, state, cfg)
+        assert traj.error is None and traj.halvings == 0 and len(traj) == 11, name
+        assert traj.extrapolated_starts == steps - 4, name
+        assert traj.newton_iterations <= 4, name
+        assert next(rhs_calls) <= 1.01 * steps, name
+
+
+def test_slope_extrapolation_is_fifth_order(monkeypatch):
+    # the start is O(dt^5) from the step it starts: halving dt divides its
+    # distance from the returned state by ~32 (a quadratic through three
+    # slopes is O(dt^4), ~16)
+    guesses = []
+    real = dynamics._NewtonMatrix.predict
+
+    def spy(self, state, z0, dt):
+        guesses.append(real(self, state, z0, dt))
+        return guesses[-1]
+
+    monkeypatch.setattr(dynamics._NewtonMatrix, "predict", spy)
+    G, spec = two_node(), PotentialSpec.free(2, 1.0)
+    errors = []
+    for dt in (2e-2, 1e-2):
+        cfg = IntegratorConfig(dt=dt, newton_tol=1e-14)
+        newton = dynamics._NewtonMatrix()
+        state = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+        guesses.clear()
+        for _ in range(5):
+            state = step(G, spec, state, cfg, newton)
+        assert [g is None for g in guesses] == [True] * 4 + [False]
+        errors.append(np.abs(guesses[-1] - np.concatenate([state.rho, state.S])).max())
+    assert 25.0 <= errors[0] / errors[1] <= 40.0
 
 
 def test_extrapolation_restarts_on_a_new_dt_or_state(monkeypatch):
@@ -526,18 +596,19 @@ def test_extrapolation_restarts_on_a_new_dt_or_state(monkeypatch):
     dts = [dt for dt, _ in taken]
     assert dts[:15] == [1e-3] * 5 + [5e-4] * 10
     assert len(dts) == 16 and dts[15] == pytest.approx(2e-4)
-    assert [used for _, used in taken] == [0, 0, 1, 1, 1] + [0, 0] + [1] * 8 + [0]
+    assert [used for _, used in taken] == [0, 0, 0, 0, 1] + [0] * 4 + [1] * 6 + [0]
 
     # a state equal to, but not the object returned by, the last step restarts it
     cfg = IntegratorConfig(dt=1e-3)
     newton = dynamics._NewtonMatrix()
     state = st
-    for _ in range(3):
+    for _ in range(5):
         state = real_step(G, spec, state, cfg, newton)
     assert newton.extrapolated == 1
     state = real_step(G, spec, SystemState(state.rho.copy(), state.S.copy(), state.t),
                       cfg, newton)
-    state = real_step(G, spec, state, cfg, newton)
+    for _ in range(3):
+        state = real_step(G, spec, state, cfg, newton)
     assert newton.extrapolated == 1
     real_step(G, spec, state, cfg, newton)
     assert newton.extrapolated == 2
@@ -545,25 +616,32 @@ def test_extrapolation_restarts_on_a_new_dt_or_state(monkeypatch):
 
 @pytest.mark.parametrize("guess", ["negative", "infinite", "nan"])
 def test_bad_extrapolation_falls_back_to_euler(monkeypatch, guess):
+    # the loop's finite and interior tests reject each bad start; the step is
+    # retried from Euler and no halving follows
     G, spec = two_node(), PotentialSpec.free(2, 1.0)
     st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
     cfg = IntegratorConfig(dt=1e-3, T=2e-2, newton_tol=1e-13)
     ref = simulate(G, spec, st, cfg)
+    real = dynamics._NewtonMatrix.predict
 
-    def bad(starts):
-        z = starts[-1].copy()
-        if guess == "negative":
-            z[0] = -0.1  # rejected before Newton starts
-        elif guess == "infinite":
-            z[0] = np.inf  # not interior either, so rejected as well
-        else:
-            z[2:] = np.nan  # Newton fails from it, and the step retries from Euler
+    def bad(self, state, z0, dt):
+        z = real(self, state, z0, dt)
+        if z is not None:
+            if guess == "negative":
+                z[0] = -0.1
+            elif guess == "infinite":
+                z[0] = np.inf
+            else:
+                z[2:] = np.nan
         return z
 
-    monkeypatch.setattr(dynamics, "_extrapolate", bad)
+    monkeypatch.setattr(dynamics._NewtonMatrix, "predict", bad)
     traj = simulate(G, spec, st, cfg)
     assert traj.error is None and traj.halvings == 0 and len(traj) == 21
-    assert traj.extrapolated_starts == (18 if guess == "nan" else 0)
+    assert traj.extrapolated_starts == 20 - 4
+    # every step started from Euler, whose Newton updates the reference made
+    # only in its first four steps
+    assert traj.newton_iterations > ref.newton_iterations
     assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
     assert np.abs(np.asarray(traj.Ss) - np.asarray(ref.Ss)).max() <= 1e-11
 
@@ -590,14 +668,10 @@ def spy_true_residuals(monkeypatch):
 def test_every_returned_step_meets_newton_tol_on_the_battery(monkeypatch, dt, T):
     ratios = spy_true_residuals(monkeypatch)
     cfg = IntegratorConfig(dt=dt, T=T, newton_tol=1e-13, output_every=10**9)
-    estimated = 0
     for name, G, spec, state in verify._battery(0):
         traj = simulate(G, spec, state, cfg)
         assert traj.error is None, name
-        estimated += traj.estimated_stops
     assert ratios and max(ratios) <= 1.0
-    if dt == 1e-3:
-        assert estimated > 0  # the estimate was exercised
 
 
 def test_every_returned_step_meets_newton_tol_on_random_graphs(monkeypatch, rng):
@@ -620,162 +694,38 @@ def test_every_returned_step_meets_newton_tol_on_random_graphs_by_gmres(gmres_on
     test_every_returned_step_meets_newton_tol_on_random_graphs(monkeypatch, rng)
 
 
-def test_estimated_stops_save_the_confirming_rhs_call(monkeypatch):
-    rhs_calls = itertools.count()
-    real_rhs, real_solve = dynamics.rhs, dynamics._newton_solve
-    stopped = []  # per returned step: whether it stopped on the estimate
-
-    def counted_rhs(*args):
-        next(rhs_calls)
-        return real_rhs(*args)
-
-    def solve_spy(G, spec, state, cfg, newton, z0, z1):
-        before = newton.estimated
-        new = real_solve(G, spec, state, cfg, newton, z0, z1)
-        stopped.append(newton.estimated > before)
-        return new
-
-    monkeypatch.setattr(dynamics, "rhs", counted_rhs)
-    monkeypatch.setattr(dynamics, "_newton_solve", solve_spy)
-    cfg = IntegratorConfig(dt=1e-3, T=1.0, newton_tol=1e-13, output_every=10**9)
-    for name, G, spec, state in verify._battery(0):
-        rhs_calls = itertools.count()
-        stopped.clear()
-        traj = simulate(G, spec, state, cfg)
-        assert traj.error is None and traj.halvings == 0, name
-        assert len(stopped) == 1000
-        assert next(rhs_calls) <= 1.2 * 1000, name
-        # at least one step in every nine evaluates its residual
-        run = max(len(r) for r in "".join("e" if s else "." for s in stopped).split("."))
-        assert run <= 8, name
-        assert traj.estimated_stops == sum(stopped) > 0
-
-
-def test_calibrated_ratio_is_floored_on_the_battery_by_gmres(gmres_only, monkeypatch):
-    # each ratio r1/r0 the contraction estimate is calibrated from is at least
-    # min(0.1, r0), r0 the max|F| of the step's first update: the relative
-    # error a GMRES update may leave.  An update solved more tightly right
-    # after a build would otherwise make the estimate optimistic
-    real_solve, real_calibrate = dynamics._NewtonMatrix.solve, dynamics._NewtonMatrix.calibrate
-    solved, calibrated = [], []
-
-    def solve(self, F):
-        solved.append(float(np.abs(F).max()))
-        return real_solve(self, F)
-
-    def calibrate(self, ratio, zm):
-        calibrated.append((ratio, min(0.1, solved[-1])))  # the step's one update so far
-        return real_calibrate(self, ratio, zm)
-
-    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", solve)
-    monkeypatch.setattr(dynamics._NewtonMatrix, "calibrate", calibrate)
-    cfg = IntegratorConfig(dt=1e-3, T=1.0, newton_tol=1e-13, output_every=10**9)
-    for name, G, spec, state in verify._battery(0):
-        assert simulate(G, spec, state, cfg).error is None, name
-    assert calibrated and all(ratio >= floor for ratio, floor in calibrated)
-
-
 def test_nan_increment_is_never_accepted(monkeypatch):
+    # at dt = 0.05 a step from the slopes still takes Newton updates; the
+    # first update of each such step is made NaN, and the step is retried
+    # from Euler
     G, spec = two_node(), PotentialSpec.free(2, 1.0)
     st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
-    cfg = IntegratorConfig(dt=1e-3, T=0.1, newton_tol=1e-13)
+    cfg = IntegratorConfig(dt=0.05, T=5.0, newton_tol=1e-13)
     ref = simulate(G, spec, st, cfg)
-    assert ref.estimated_stops > 0
-    real = dynamics._NewtonMatrix.solve
-    solves = itertools.count()
+    real_predict, real_solve = dynamics._NewtonMatrix.predict, dynamics._NewtonMatrix.solve
+    guessed = []  # one entry while the next update is the first from a start of the slopes
+    injected = itertools.count()
+
+    def predict(self, state, z0, dt):
+        guess = real_predict(self, state, z0, dt)
+        guessed[:] = [] if guess is None else [True]
+        return guess
 
     def inject(self, F):
-        out = real(self, F)
-        if next(solves) % 10 == 5:
+        out = real_solve(self, F)
+        if guessed:
+            guessed.clear()
+            next(injected)
             out[-1] = np.nan
         return out
 
+    monkeypatch.setattr(dynamics._NewtonMatrix, "predict", predict)
     monkeypatch.setattr(dynamics._NewtonMatrix, "solve", inject)
     traj = simulate(G, spec, st, cfg)
-    assert traj.error is None and len(traj) == len(ref)
+    assert next(injected) >= 50
+    assert traj.error is None and traj.halvings == 0 and len(traj) == len(ref)
     assert np.isfinite(np.asarray(traj.rhos)).all() and np.isfinite(np.asarray(traj.Ss)).all()
     assert np.abs(np.asarray(traj.rhos) - np.asarray(ref.rhos)).max() <= 1e-11
-
-
-def test_estimate_stops_only_a_finite_contracting_update():
-    G, spec = two_node(), PotentialSpec.free(2, 1.0)
-    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
-    z = np.concatenate([st.rho, st.S])  # the frozen midpoint
-    tiny = np.full(4, 1e-20)
-    newton = dynamics._NewtonMatrix()
-    newton.build(G, spec, st, 1e-3)
-    newton.tol = 1e-13
-    assert not newton.stops_on_estimate(z + 1e-3, tiny)  # nothing measured yet
-    newton.calibrate(1e-6, z + 1e-3)  # a rate of 1e-3 per unit distance
-    assert newton.stops_on_estimate(z + 1e-3, tiny)
-    assert not newton.stops_on_estimate(z + 1e-3, np.array([1e-20, np.nan, 0.0, 0.0]))
-    assert not newton.stops_on_estimate(z + np.nan, tiny)
-    assert not newton.stops_on_estimate(z + 1e-3, np.full(4, 1e-6))  # theta 1e-6: error 1e-12
-    assert not newton.stops_on_estimate(z + 2e3, tiny)  # theta = 2: no contraction
-    # at most _ESTIMATED_RUN stops in a row after a calibration
-    newton.calibrate(1e-6, z + 1e-3)
-    stops = [newton.stops_on_estimate(z + 1e-3, tiny) for _ in range(2 * dynamics._ESTIMATED_RUN)]
-    assert sum(stops) == dynamics._ESTIMATED_RUN
-    newton.calibrate(1e-6, z + 1e-3)
-    assert newton.stops_on_estimate(z + 1e-3, tiny)
-    # a rebuild forgets the rate
-    newton.build(G, spec, st, 1e-3)
-    assert not newton.stops_on_estimate(z + 1e-3, tiny)
-
-
-def test_a_failed_solve_forgets_the_rate(monkeypatch):
-    G, spec = two_node(), PotentialSpec.free(2, 1.0)
-    state = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
-    cfg = IntegratorConfig(dt=1e-3, newton_tol=1e-13)
-    newton = dynamics._NewtonMatrix()
-    for _ in range(3):
-        state = step(G, spec, state, cfg, newton)
-    newton.rate = 0.0  # would stop any first update on the estimate
-    real = dynamics._NewtonMatrix.solve
-    solves = itertools.count()
-
-    def inject(self, F):
-        out = real(self, F)
-        if next(solves) == 0:
-            out[-1] = np.nan  # the solve from the extrapolated start fails
-        return out
-
-    monkeypatch.setattr(dynamics._NewtonMatrix, "solve", inject)
-    extrapolated, estimated = newton.extrapolated, newton.estimated
-    step(G, spec, state, cfg, newton)
-    assert newton.extrapolated == extrapolated + 1
-    # the retry from Euler evaluated its residual and measured the rate afresh
-    assert newton.estimated == estimated and newton.rate > 0.0
-
-
-def test_no_estimated_stop_after_a_halving_until_a_new_confirmation(monkeypatch):
-    events = []
-    real_step, real_calibrate = dynamics.step, dynamics._NewtonMatrix.calibrate
-    calls = itertools.count()
-
-    def step_spy(G, spec, state, cfg, newton=None):
-        if next(calls) == 40:
-            events.append("halving")
-            raise NewtonDivergence("forced")
-        before = newton.estimated
-        new = real_step(G, spec, state, cfg, newton)
-        events.append("estimated" if newton.estimated > before else "confirmed")
-        return new
-
-    def calibrate_spy(self, ratio, zm):
-        events.append("calibrated")
-        return real_calibrate(self, ratio, zm)
-
-    monkeypatch.setattr(dynamics, "step", step_spy)
-    monkeypatch.setattr(dynamics._NewtonMatrix, "calibrate", calibrate_spy)
-    st = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
-    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), st,
-                    IntegratorConfig(dt=1e-3, T=0.1, newton_tol=1e-13))
-    assert traj.error is None and traj.halvings == 1
-    k = events.index("halving")
-    after = events[k + 1 :]
-    assert "estimated" in events[:k] and "estimated" in after
-    assert after.index("calibrated") < after.index("estimated")
 
 
 def test_wave_round_trip(rng):

@@ -127,7 +127,8 @@ def test_direct_solve_below_the_crossover_makes_no_krylov_products(n):
     G = build_torus([n], 1.0) if n > 2 else build_graph(2, [(0, 1, 1.0)])
     rng = np.random.default_rng(2)
     state = SystemState(random_interior(rng, n), rng.normal(0.0, 0.3, n))
-    cfg = IntegratorConfig(dt=1e-3, T=0.05, newton_tol=1e-13, output_every=10)
+    # at dt = 0.05 the steps from the slopes still take Newton updates
+    cfg = IntegratorConfig(dt=0.05, T=2.5, newton_tol=1e-13, output_every=10)
     traj = simulate(G, PotentialSpec.gpe(n, 1.0), state, cfg)
     assert traj.error is None and traj.halvings == 0
     assert traj.newton_iterations >= 50 and traj.factorizations >= 1
@@ -204,11 +205,11 @@ def test_singular_rebuild_of_a_guessed_start_keeps_the_factored_matrix(monkeypat
     monkeypatch.setattr(dynamics, "_jacobian_entries",
                         lambda *args: projection_entries(n, cfg.dt) if next(faults) == 0
                         else real(*args))
-    # the history extrapolates to a start whose density is off by up to 90%,
+    # slopes that extrapolate to a start whose density is off by up to 90%,
     # far enough that the first update contracts by less than 10x
     z = np.concatenate([state.rho, state.S])
     off = np.concatenate([0.9 * state.rho * rng.uniform(-1.0, 1.0, n), np.zeros(n)])
-    newton._starts = [z + off, z]
+    newton._slopes = [-off / cfg.dt] + [np.zeros(2 * n)] * 3
     new = dynamics.step(G, spec, state, cfg, newton)
     assert next(faults) == 1  # the one build tried was the singular one
     assert newton.extrapolated == guesses + 1 and newton.builds == builds

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from graph_nls import dynamics, verify
+from graph_nls import PotentialSpec, dynamics, fisher_information, hamiltonian, verify
 from graph_nls.errors import NewtonDivergence
+from conftest import random_connected_graph, random_interior
 
 
 def counter(monkeypatch, before_step):
@@ -174,3 +175,47 @@ def test_run_suites_stops_the_runs_no_suite_reads(monkeypatch):
     (check,) = report["checks"]
     assert check["passed"] is False and check["detail"] == "two_node: forced failure"
     assert multiprocessing.active_children() == []
+
+
+def test_gradients_difference_each_energy_over_one_stack(monkeypatch):
+    # each finite-difference gradient of H or of I evaluates its 2n perturbed
+    # states in one call, on a (2n, n) stack
+    def spy(name, rho_at):
+        real, stacked = getattr(verify, name), []
+
+        def wrapped(*args):
+            G, rho = args[0], args[rho_at]
+            stacked.append(np.shape(rho) == (2 * G.n, G.n))
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, wrapped)
+        return stacked
+
+    energies, fishers = spy("hamiltonian", 2), spy("fisher_information", 1)
+    assert verify.check_gradients(0, cases=5)["passed"]
+    assert energies == [True] * 15 and fishers == [True] * 5
+
+
+def test_differences_over_a_stack_are_those_of_each_state(rng):
+    # the reference: one perturbed state at a time
+    def each_state(f, x, step=1e-5):
+        rows = []
+        for j in range(len(x)):
+            e = np.zeros_like(x)
+            e[j] = step
+            rows.append((f(x + e) - f(x - e)) / (2.0 * step))
+        return np.array(rows)
+
+    for _ in range(5):
+        G = random_connected_graph(rng)
+        n = G.n
+        rho, S = random_interior(rng, n), rng.normal(0.0, 0.5, n)
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), rng.uniform(0.0, 1.0, n), 0.7)
+        Ss = np.tile(S, (2 * n, 1))
+        for stacked, one in (
+            (lambda rs: hamiltonian(G, spec, rs, Ss), lambda r: hamiltonian(G, spec, r, S)),
+            (lambda rs: fisher_information(G, rs), lambda r: fisher_information(G, r)),
+        ):
+            ref = each_state(one, rho)
+            diff = np.abs(verify._fd_gradient(stacked, rho) - ref).max()
+            assert diff <= 1e-9 * max(1.0, np.abs(ref).max())

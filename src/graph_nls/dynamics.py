@@ -346,14 +346,16 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
     """Simplified Newton on z1 - z0 - dt f((z0 + z1)/2) = 0 from the start z1.
 
     Stops when the residual F has max|F| <= newton_tol, and records the
-    step in ``newton`` with the slope f of that residual.  Every iterate it
-    returns is finite with an ``is_interior`` density.
+    step in ``newton`` with the slope f of that residual.  Makes at most
+    ``newton_max_iter`` updates, and tests the residual of the last one
+    before it gives up.  Every iterate it returns is finite with an
+    ``is_interior`` density.
     """
     n = G.n
     dt = cfg.dt
     newton.tol = cfg.newton_tol
     prev = math.inf
-    for _ in range(cfg.newton_max_iter):
+    for k in range(cfg.newton_max_iter + 1):
         if not np.isfinite(z1).all():
             raise NewtonDivergence("Newton iterate is not finite")
         # z0 is interior, so the midpoint density is interior when z1's is
@@ -368,6 +370,8 @@ def _newton_solve(G, spec, state, cfg, newton, z0, z1):
             return newton.accept(SystemState(z1[:n], z1[n:], state.t + dt), slope, dt)
         if not res < math.inf:  # a NaN fails the test too
             raise NewtonDivergence(f"Newton residual is {res}")
+        if k == cfg.newton_max_iter:
+            break
         # rebuild at this midpoint when the operator is for another dt, or
         # when the last iteration cut the residual by less than 10x
         if newton.dt != dt or res > 0.1 * prev:

@@ -108,9 +108,11 @@ def _number(x):
 
 
 def _dot(x, y):
-    """x . y over the last axis, as a matmul of (1, n) by (n, 1) blocks:
-    numpy takes one BLAS dot per block, so a row of a stack gets the value
-    of the state alone (bit for bit under numpy 2.4)."""
+    """x . y over the last axis; a stack as a matmul of (1, n) by (n, 1)
+    blocks: numpy takes one BLAS dot per block, as for one state, so a row of
+    a stack gets the value of the state alone (bit for bit under numpy 2.4)."""
+    if x.ndim == 1:
+        return x @ y
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
@@ -189,10 +191,13 @@ def interaction_times(spec: PotentialSpec, x) -> np.ndarray:
     return w * x if w.ndim == 1 else (w @ x[..., None])[..., 0]
 
 
+def _interaction(spec: PotentialSpec, rho):
+    return 0.5 * _dot(rho, interaction_times(spec, rho))
+
+
 def interaction_energy(spec: PotentialSpec, rho):
     """1/2 rho . W rho, of a state or of each row of a (B, n) stack."""
-    rho = _states(spec.n, rho)
-    return _number(0.5 * _dot(rho, interaction_times(spec, rho)))
+    return _number(_interaction(spec, _states(spec.n, rho)))
 
 
 def static_gradient(G: Graph, spec: PotentialSpec, rho) -> np.ndarray:
@@ -242,7 +247,7 @@ def energy_terms(G: Graph, spec: PotentialSpec, rho, S=None):
         raise ConfigError(f"phase has shape {np.shape(S)}, density {rho.shape}")
     fisher, kin = _edge_terms(G, rho, S)
     return (_number(kin), _number(spec.h**2 / 8.0 * fisher),
-            potential_energy(spec, rho), interaction_energy(spec, rho))
+            _number(_dot(rho, spec.V)), _number(_interaction(spec, rho)))
 
 
 def normalization_integrand(G: Graph, spec: PotentialSpec, rho, S) -> np.ndarray:

@@ -99,24 +99,59 @@ def _pairs(mu):
     return _sort_complex(np.concatenate([1j * root, -1j * root]))
 
 
-def _grounded_factor(n, rows, cols, vals) -> np.ndarray:
-    """R, n x (n-1), with R R^T = L up to the diagonal shift, from L's entries.
+# width of the blocks in which _factor_in_place and spectrum's two products
+# walk their n x n arrays; each temporary is at most n x _BLOCK
+_BLOCK = 128
 
-    Grounds L at g = ground_node, the heaviest node: with L_g = C C^T, R is
-    C on the other rows and minus the column sums of C on row g, since
-    every column of L sums to zero.  A light g would make row g a
-    cancelling sum of O(1) numbers.  Only the (n-1) x (n-1) L_g is
-    assembled, and it is freed before R is allocated.
+
+def _factor_in_place(A) -> None:
+    """Overwrite the positive definite A, read from its lower triangle, with
+    its Cholesky factor C (A = C C^T), exact zeros above the diagonal.
+
+    Blocked and right-looking: np.linalg.cholesky factors a diagonal block,
+    the inverse of that factor turns the column below it into the panel of
+    C, and one GEMM per block row updates the lower triangle of the trailing
+    matrix.  Raises LinAlgError when a diagonal block of the trailing Schur
+    complement is not positive definite.
+    """
+    m = len(A)
+    for k0 in range(0, m, _BLOCK):
+        k1 = min(k0 + _BLOCK, m)
+        C = np.linalg.cholesky(A[k0:k1, k0:k1])
+        A[k0:k1, k0:k1] = C
+        A[k0:k1, k1:] = 0.0
+        panel = A[k1:, k0:k1]
+        panel[...] = panel @ np.linalg.inv(C).T
+        for i0 in range(k1, m, _BLOCK):
+            i1 = min(i0 + _BLOCK, m)
+            A[i0:i1, k1:i1] -= panel[i0 - k1:i1 - k1] @ panel[: i1 - k1].T
+
+
+def _grounded_factor(n, rows, cols, vals):
+    """R, n x (n-1), with R R^T = L up to the diagonal shift, from L's
+    entries, and the row of R of each node.
+
+    Grounds L at g = ground_node, the heaviest node, numbered last: with
+    L_g = C C^T, R is C on the other rows and minus the column sums of C on
+    row n-1, since every column of L sums to zero.  A light g would make
+    that row a cancelling sum of O(1) numbers.  L_g is assembled in the top
+    (n-1) x (n-1) block of R and factored in place.
     """
     on = rows == cols
     g = ground_node(np.bincount(rows[on], vals[on], n))
-    keep = (rows != g) & (cols != g)
-    index = np.arange(n) - (np.arange(n) > g)  # a node's row in L_g
-    Lg = dense(index[rows[keep]], index[cols[keep]], vals[keep], n - 1)
-    Lg.flat[:: n] *= 1.0 + GROUNDED_SHIFT  # the diagonal of the (n-1) x (n-1) Lg
-    C = np.linalg.cholesky(Lg)
-    del Lg
-    return np.insert(C, g, -C.sum(axis=0), axis=0)
+    index = np.arange(n) - (np.arange(n) > g)
+    index[g] = n - 1
+    m = n - 1
+    r, c = index[rows], index[cols]
+    keep = (r < m) & (c < m)
+    # bincount of no entries is an integer array
+    R = np.bincount(r[keep] * m + c[keep], vals[keep], n * m).astype(float, copy=False)
+    R = R.reshape(n, m)
+    Lg = R[:m]
+    Lg.flat[::n] *= 1.0 + GROUNDED_SHIFT  # the diagonal of the (n-1) x (n-1) Lg
+    _factor_in_place(Lg)
+    R[m] = -Lg.sum(axis=0)
+    return R, index
 
 
 def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
@@ -127,24 +162,39 @@ def spectrum(H: HamiltonianMatrix) -> SpectrumReport:
     eigvalsh of -(R^T B R), size n - 1, gives the pairs +-i sqrt(mu); the
     grounding adds the mass/gauge zero pair.  A mu within n eps of the
     largest |mu| is eigvalsh's roundoff and is set to zero, so a mu that is
-    negative only at that level reads as stable, not marginal.  At most
-    three n x n arrays are alive at once: the dense -B lives only for its
-    product with R.  Raises GraphNLSError if the factorization breaks down
-    or a mu is not finite.
+    negative only at that level reads as stable, not marginal.
+
+    At most two n x n arrays are alive at once.  The grounded Laplacian is
+    factored in place, in R's own buffer.  The dense -B is overwritten by
+    -B R one column block at a time, and that by the lower triangle of
+    -(R^T B R), which eigvalsh reads; both products skip the zero upper
+    triangle of the factor.  R is freed before eigvalsh makes its copy.
+    Raises GraphNLSError if the factorization breaks down or a mu is not
+    finite.
     """
+    n, m = H.n, H.n - 1
+    hr, hc, hv = H.hessian
     try:
         # a weight near the float range overflows the products; the check
         # below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            R = _grounded_factor(H.n, *H.laplacian)
-            Hs = dense(*H.hessian, H.n)  # -B
-            X = Hs @ R
-            del Hs
-            M = R.T @ X  # -(R^T B R)
-            del R, X
-            if not np.isfinite(M).all():
-                raise GraphNLSError("linearization overflows: its reduced matrix is not finite")
-            mu = np.linalg.eigvalsh(M)
+            R, index = _grounded_factor(n, *H.laplacian)
+            X = dense(index[hr], index[hc], hv, n)  # -B
+            # column block J of -B R reads the columns of -B from J on
+            for j0 in range(0, m, _BLOCK):
+                j1 = min(j0 + _BLOCK, m)
+                X[:, j0:j1] = X[:, j0:] @ R[j0:, j0:j1]
+            # block (I, J) of -(R^T B R), I at or below J, reads the rows
+            # from I on of R's columns I and of -B R's columns J
+            for j0 in range(0, m, _BLOCK):
+                j1 = min(j0 + _BLOCK, m)
+                for i0 in range(j0, m, _BLOCK):
+                    i1 = min(i0 + _BLOCK, m)
+                    X[i0:i1, j0:j1] = R[i0:, i0:i1].T @ X[i0:, j0:j1]
+                if not np.isfinite(X[j0:m, j0:j1]).all():
+                    raise GraphNLSError("linearization overflows: its reduced matrix is not finite")
+            del R
+            mu = np.linalg.eigvalsh(X[:m, :m])  # reads the lower triangle
     except np.linalg.LinAlgError as exc:
         raise GraphNLSError(f"stability reduction failed: {exc}") from exc
     if not np.isfinite(mu).all():

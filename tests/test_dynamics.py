@@ -411,10 +411,10 @@ def test_snapshot_diagnostics_are_those_of_each_snapshot(monkeypatch, rng, syste
 @pytest.mark.parametrize("T, failing", [(0.0505, ()), (0.05, (20,))])
 def test_norm_resid_does_not_depend_on_where_integrand_batches_end(monkeypatch, rng, T, failing,
                                                                    cap):
-    # simulate evaluates the normalization integrand in batches that end at
-    # the snapshots, or after ``cap`` states, and adds the trapezoid step by
-    # step.  A remainder step (T = 0.0505) or a halving makes the step sizes
-    # differ
+    # simulate evaluates the normalization integrand in batches of ``cap``
+    # states, and the last batch when the run ends, and adds the trapezoid
+    # step by step.  A remainder step (T = 0.0505) or a halving makes the
+    # step sizes differ
     G = random_connected_graph(rng)
     n = G.n
     spec = random_spec(rng, n)
@@ -546,6 +546,16 @@ def test_small_steps_take_no_newton_update_after_the_euler_starts(monkeypatch):
         assert traj.extrapolated_starts == steps - 4, name
         assert traj.newton_iterations <= 4, name
         assert next(rhs_calls) <= 1.01 * steps, name
+
+
+def test_newton_tests_the_residual_of_its_last_update():
+    # from the Euler start one update meets newton_tol at dt = 1e-3; a solve
+    # that gave up after its one update without testing it halved each step
+    cfg = IntegratorConfig(dt=1e-3, T=0.05, newton_tol=1e-13, newton_max_iter=1)
+    state = SystemState(np.array([0.55, 0.45]), np.array([0.1, -0.1]))
+    traj = simulate(two_node(), PotentialSpec.free(2, 1.0), state, cfg)
+    assert traj.error is None and traj.halvings == 0
+    assert traj.times[-1] == pytest.approx(0.05)
 
 
 def test_slope_extrapolation_is_fifth_order(monkeypatch):

@@ -19,8 +19,9 @@ from graph_nls import (
     spectrum,
     weighted_laplacian,
 )
+from graph_nls import stability
 from graph_nls.energy import fisher_hessian
-from graph_nls.stability import _classify, plain_laplacian, spectrum_mismatch
+from graph_nls.stability import _classify, _factor_in_place, plain_laplacian, spectrum_mismatch
 from conftest import (
     cycle_graph,
     complete_graph,
@@ -340,3 +341,73 @@ def test_reduction_keeps_at_most_three_square_arrays():
         tracemalloc.stop()
     assert rep.classification == "spectrally_stable"
     assert peak < 3.5 * G.n**2 * 8
+
+
+def test_reduction_keeps_at_most_two_square_arrays():
+    # R and the dense -B, which becomes -B R and then the reduced matrix, are
+    # the two; R is freed before eigvalsh copies the reduced matrix
+    G = build_torus([32, 32])
+    x, y = G.coords.T
+    spec = PotentialSpec(5e-4 * ((x - 15.5) ** 2 + (y - 15.5) ** 2), np.ones(G.n), 1.0)
+    H = hamiltonian_matrix(G, spec, solve_ground_state(G, spec).rho_g)
+    tracemalloc.start()
+    try:
+        rep = spectrum(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "spectrally_stable"
+    assert peak < 2.5 * G.n**2 * 8
+
+
+BLOCK = stability._BLOCK
+
+
+def random_positive_definite(rng, size):
+    A = rng.normal(0.0, 1.0, (size, size))
+    return A @ A.T + size * np.eye(size)
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_factor_in_place_matches_numpy_cholesky(rng, size):
+    A = random_positive_definite(rng, size)
+    ref = np.linalg.cholesky(A)
+    C = A.copy()
+    C[np.triu_indices(size, 1)] = np.nan  # only the lower triangle is read
+    _factor_in_place(C)
+    assert np.abs(C - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(C[np.triu_indices(size, 1)] == 0.0)
+
+
+def test_factor_in_place_rejects_an_indefinite_trailing_schur_complement(rng):
+    # every leading block is positive definite; the last Schur complement is -1
+    size = 2 * BLOCK + 3
+    C = np.tril(rng.normal(0.0, 1.0, (size, size)))
+    A = C @ C.T
+    A[-1, -1] -= C[-1, -1] ** 2 + 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_in_place(A)
+
+
+def random_graph_of_size(rng, n):
+    """A cycle through n nodes in random order plus n random chords, weights
+    in [0.5, 2]."""
+    order = rng.permutation(n)
+    pairs = {tuple(sorted((int(a), int(b)))) for a, b in zip(order, np.roll(order, 1))}
+    pairs |= {tuple(sorted(map(int, rng.choice(n, size=2, replace=False)))) for _ in range(n)}
+    return build_graph(n, [(j, l, float(rng.uniform(0.5, 2.0))) for j, l in sorted(pairs)])
+
+
+@pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_blocked_reduction_matches_dense_oracle(rng, n):
+    # the grounded block has n - 1 rows: one block, one full block, and two
+    G = random_graph_of_size(rng, n)
+    A = rng.normal(0.0, 1.0, (n, n))
+    for sign in (1.0, -1.0):
+        spec = PotentialSpec(rng.normal(0.0, 1.0, n), sign * A @ A.T, float(rng.uniform(0.3, 1.5)))
+        H = hamiltonian_matrix(G, spec, random_interior(rng, n))
+        rep = spectrum(H)
+        ref = dense_spectrum(H)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert spectrum_mismatch(rep.eigenvalues, ref) <= 1e-10 * scale
+        assert rep.classification == _classify(ref)
